@@ -9,7 +9,6 @@ from .decode import (
     AnchorStats,
     DecodeParams,
     PredictionMaps,
-    Proposal,
     anchor_statistics,
     decode_anchors,
     ideal_predictions,
@@ -19,7 +18,6 @@ from .decode import (
 )
 from .evalkit import (
     EvalReport,
-    GroundTruthItem,
     RecallReport,
     match_detections,
     proposal_recall,
@@ -27,7 +25,9 @@ from .evalkit import (
 )
 from .geom import (
     AugmentTransform,
+    GroundTruthItem,
     Point2,
+    Proposal,
     Quad,
     RotatedBox,
     angle_distance,

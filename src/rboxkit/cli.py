@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import decode as dec
@@ -27,6 +26,13 @@ def _err(msg: str) -> None:
 
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _report_parse_errors(path, errors) -> int:
+    """Print each parse error with its file and line; return how many there were."""
+    for e in errors:
+        _err(f"{path}:{e.lineno}: {e}")
+    return len(errors)
 
 
 def _gt_dir_images(gt_dir: Path) -> dict[str, Path]:
@@ -46,9 +52,7 @@ def _load_gt_map(gt_dir: Path, fmt: str, include_difficult: bool):
     n_errors = 0
     for image_id, path in _gt_dir_images(gt_dir).items():
         records, errors = formats.read_annotation_file(path, fmt)
-        for e in errors:
-            _err(f"{path}:{e.lineno}: {e}")
-        n_errors += len(errors)
+        n_errors += _report_parse_errors(path, errors)
         gt_map[image_id] = formats.to_ground_truth(
             records, difficult_as_dont_care=not include_difficult
         )
@@ -57,9 +61,7 @@ def _load_gt_map(gt_dir: Path, fmt: str, include_difficult: bool):
 
 def _read_detections(path: Path):
     records, errors = formats.read_detection_file(path)
-    for e in errors:
-        _err(f"{path}:{e.lineno}: {e}")
-    return formats.group_detections_by_image(records), len(errors)
+    return formats.group_detections_by_image(records), _report_parse_errors(path, errors)
 
 
 def cmd_evaluate(args) -> int:
@@ -70,19 +72,12 @@ def cmd_evaluate(args) -> int:
         if image_id not in gt_map:
             _note(f"note: no ground-truth file for image {image_id!r}; counted as background")
             gt_map[image_id] = []
-
-    def one_threshold(thr: float) -> evalkit.EvalReport:
-        def run(image_id):
-            return evalkit.match_detections(det_groups.get(image_id, []), gt_map[image_id], thr)
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                reports = list(pool.map(run, image_ids))
-        else:
-            reports = [run(i) for i in image_ids]
-        return evalkit.combine_reports(reports)
-
-    rows = [one_threshold(t) for t in args.iou_thresholds]
+    # zero images score like one empty image, so each row keeps its threshold
+    per_image = [
+        evalkit.sweep_report(det_groups.get(i, []), gt_map[i], args.iou_thresholds)
+        for i in image_ids
+    ] or [evalkit.sweep_report([], [], args.iou_thresholds)]
+    rows = [evalkit.combine_reports(list(col)) for col in zip(*per_image)]
     print(evalkit.format_eval_table(rows))
     if args.output:
         Path(args.output).write_text("\n".join(evalkit.eval_machine_lines(rows)) + "\n")
@@ -141,9 +136,7 @@ def cmd_labelgen(args) -> int:
     n_errors = 0
     for image_id in sorted(files):
         records, errors = formats.read_annotation_file(files[image_id], args.gt_format)
-        for e in errors:
-            _err(f"{files[image_id]}:{e.lineno}: {e}")
-        n_errors += len(errors)
+        n_errors += _report_parse_errors(files[image_id], errors)
         boxes = []
         for rec in records:
             if rec.dont_care:
@@ -169,20 +162,23 @@ def cmd_labelgen(args) -> int:
 
 
 def _sniff_maps(path: Path) -> dec.PredictionMaps:
-    magic = path.open("rb").read(4)
+    with path.open("rb") as fh:
+        magic = fh.read(4)
     if magic == targets.TARGET_MAGIC:
         return dec.ideal_predictions(targets.load_target_maps(path))
     return dec.load_prediction_maps(path)
 
 
 def cmd_decode(args) -> int:
+    if args.top_n is not None and args.top_n <= 0:
+        raise ValueError(f"top-N must be positive, got {args.top_n}")
     by_image: dict[str, list[dec.PredictionMaps]] = {}
     for f in args.maps:
         path = Path(f)
         image_id = path.name.split(".")[0]
         by_image.setdefault(image_id, []).append(_sniff_maps(path))
 
-    params = dec.DecodeParams(t_a=args.t_a, top_n=None, nms_iou=args.nms_iou)
+    params = dec.DecodeParams(t_a=args.t_a)
     records = []
     total_cells = 0
     all_props = []
@@ -194,7 +190,7 @@ def cmd_decode(args) -> int:
             proposals.extend(dec.decode_anchors(maps, params))
         proposals.sort(key=lambda p: -p.score)
         if not args.no_nms:
-            proposals = dec.polygon_nms(proposals, params.nms_iou)
+            proposals = dec.polygon_nms(proposals, args.nms_iou)
         if args.top_n is not None:
             proposals = proposals[: args.top_n]
         all_props.extend(proposals)
@@ -245,8 +241,7 @@ def cmd_iou(args) -> int:
 
 def cmd_convert(args) -> int:
     records, errors = formats.read_annotation_file(Path(args.input), args.from_format)
-    for e in errors:
-        _err(f"{args.input}:{e.lineno}: {e}")
+    _report_parse_errors(args.input, errors)
     lossy = False
     lines = []
     for k, rec in enumerate(records):
@@ -299,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_gt_flags(p)
     p.add_argument("--iou-thresholds", type=float, nargs="+", default=[0.5])
     p.add_argument("--output", help="machine-readable metric file")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("proposal-recall", help="TR at top-N proposals per image")

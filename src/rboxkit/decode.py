@@ -12,48 +12,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import RotatedBox, unit_to_angle
+from .geom import Proposal, RotatedBox, unit_to_angle
 from .polyiou import iou
 from .targets import (
     LOC_POSITIVE,
     LevelSpec,
     TargetMaps,
-    _HEADER,
+    _read_map,
+    _write_map,
     cell_center,
-    read_map_header,
     shape_decode,
 )
 
 PREDICTION_MAGIC = b"PMAP"
-
-
-@dataclass(frozen=True)
-class Proposal:
-    """A decoded box with its confidence score."""
-
-    box: RotatedBox
-    score: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError(f"score must be finite, got {self.score!r}")
+_PREDICTION_DTYPES = ("<f4",) * 4
 
 
 @dataclass(frozen=True)
 class DecodeParams:
-    """Decoding knobs: activation threshold, optional cap, NMS overlap."""
+    """Decoding knobs: the activation threshold t_a."""
 
     t_a: float = 0.05
-    top_n: int | None = None
-    nms_iou: float = 0.3
 
     def __post_init__(self):
         if not 0.0 <= self.t_a <= 1.0:
             raise ValueError(f"t_a must lie in [0, 1], got {self.t_a}")
-        if not 0.0 < self.nms_iou < 1.0:
-            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
-        if self.top_n is not None and self.top_n <= 0:
-            raise ValueError(f"top_n must be positive, got {self.top_n}")
 
 
 @dataclass
@@ -100,7 +83,7 @@ def decode_anchors(maps: PredictionMaps, params: DecodeParams = DecodeParams()) 
 
     The box center is the cell center, the angle comes from the orientation
     map, the sides from the shape map. Output is sorted by score descending
-    with ties in (i, j) cell order, then truncated to top_n when set.
+    with ties in (i, j) cell order.
     """
     lv = maps.level
     active = maps.location_prob > params.t_a
@@ -113,8 +96,6 @@ def decode_anchors(maps: PredictionMaps, params: DecodeParams = DecodeParams()) 
         box = RotatedBox.make(p.x, p.y, w, h, theta)
         proposals.append(Proposal(box=box, score=float(maps.location_prob[j, i])))
     proposals.sort(key=lambda pr: -pr.score)
-    if params.top_n is not None:
-        proposals = proposals[: params.top_n]
     return proposals
 
 
@@ -125,6 +106,8 @@ def polygon_nms(proposals: list[Proposal], iou_threshold: float = 0.3) -> list[P
     whose IoU against it strictly exceeds the threshold. Ties keep input
     order. The result is a subset of the input in score-descending order.
     """
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError(f"nms iou threshold must lie in (0, 1), got {iou_threshold}")
     order = sorted(range(len(proposals)), key=lambda k: -proposals[k].score)
     kept: list[int] = []
     alive = [True] * len(proposals)
@@ -178,33 +161,23 @@ def anchor_statistics(
 
 
 def save_prediction_maps(maps: PredictionMaps, path) -> None:
-    """Same layout as target maps with float32 probabilities as the first grid."""
-    lv = maps.level
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(PREDICTION_MAGIC, lv.stride, lv.grid_w, lv.grid_h, lv.k))
-        for arr in (maps.location_prob, maps.orientation, maps.shape_dw, maps.shape_dh):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    """Write the map-file header with magic "PMAP", then four float32 grids.
+
+    Grids: probability, orientation, shape_dw, shape_dh.
+    """
+    grids = (maps.location_prob, maps.orientation, maps.shape_dw, maps.shape_dh)
+    _write_map(path, PREDICTION_MAGIC, maps.level, grids, _PREDICTION_DTYPES)
 
 
 def load_prediction_maps(path) -> PredictionMaps:
     """Read a file written by :func:`save_prediction_maps`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    level = read_map_header(data, PREDICTION_MAGIC)
-    n = level.grid_w * level.grid_h
-    need = _HEADER.size + 4 * n * 4
-    if len(data) != need:
-        raise ValueError(f"map file has {len(data)} bytes, expected {need}")
-    shape = (level.grid_h, level.grid_w)
-    grids = []
-    off = _HEADER.size
-    for _ in range(4):
-        grids.append(np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape).copy())
-        off += 4 * n
+    level, (prob, orientation, shape_dw, shape_dh) = _read_map(
+        path, PREDICTION_MAGIC, _PREDICTION_DTYPES
+    )
     return PredictionMaps(
         level=level,
-        location_prob=grids[0],
-        orientation=grids[1],
-        shape_dw=grids[2],
-        shape_dh=grids[3],
+        location_prob=prob,
+        orientation=orientation,
+        shape_dw=shape_dw,
+        shape_dh=shape_dh,
     )

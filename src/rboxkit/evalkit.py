@@ -11,17 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decode import Proposal
-from .geom import RotatedBox
+from .geom import GroundTruthItem, Proposal
 from .polyiou import iou
 
 AVG_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
-
-
-@dataclass(frozen=True)
-class GroundTruthItem:
-    box: RotatedBox
-    dont_care: bool = False
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decode import Proposal
-from .evalkit import GroundTruthItem
-from .geom import Quad, RotatedBox, box_corners, quad_to_rotated_box, rotated_box_to_quad
+from .geom import (
+    GroundTruthItem,
+    Proposal,
+    Quad,
+    RotatedBox,
+    box_corners,
+    quad_to_rotated_box,
+    rotated_box_to_quad,
+)
 
 GT_FORMATS = ("icdar13", "icdar15", "msra")
 

@@ -116,6 +116,24 @@ class RotatedBox:
 
 
 @dataclass(frozen=True)
+class Proposal:
+    """A decoded box with its confidence score."""
+
+    box: RotatedBox
+    score: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.score):
+            raise ValueError(f"score must be finite, got {self.score!r}")
+
+
+@dataclass(frozen=True)
+class GroundTruthItem:
+    box: RotatedBox
+    dont_care: bool = False
+
+
+@dataclass(frozen=True)
 class Quad:
     """Convex simple quadrilateral, vertices stored in order A, B, C, D."""
 

@@ -26,6 +26,7 @@ LOC_IGNORE = 255
 
 _HEADER = struct.Struct("<4sIIIf")
 TARGET_MAGIC = b"TMAP"
+_TARGET_DTYPES = (np.uint8, "<f4", "<f4", "<f4", np.uint8)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,10 @@ def shape_decode(dw: float, dh: float, level: LevelSpec) -> tuple[float, float]:
     """(w, h) = (k s e^dw, k s e^dh)."""
     if not (math.isfinite(dw) and math.isfinite(dh)):
         raise ValueError(f"shape offsets must be finite, got ({dw!r}, {dh!r})")
-    return level.base_size * math.exp(dw), level.base_size * math.exp(dh)
+    try:
+        return level.base_size * math.exp(dw), level.base_size * math.exp(dh)
+    except OverflowError:
+        raise ValueError(f"shape offsets ({dw!r}, {dh!r}) overflow the box size") from None
 
 
 def shape_encode(w: float, h: float, level: LevelSpec) -> tuple[float, float]:
@@ -361,58 +365,61 @@ def box_delta_decode(deltas, anchor: RotatedBox) -> RotatedBox:
     )
 
 
-def save_target_maps(maps: TargetMaps, path) -> None:
-    """Portable layout: little-endian header then row-major grids.
+def _write_map(path, magic: bytes, level: LevelSpec, grids, dtypes) -> None:
+    """Map-file layout shared by ``.tmap`` and ``.pmap``.
 
-    Header: magic "TMAP", u32 stride, u32 grid_w, u32 grid_h, f32 k.
-    Body: location bytes (0/1/255), orientation f32 (NaN where undefined),
-    shape_dw f32, shape_dh f32, shape_valid bytes (0/1).
+    Little-endian header (4-byte magic, u32 stride, u32 grid_w, u32 grid_h,
+    f32 k), then each grid row-major in its dtype.
     """
-    lv = maps.level
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(TARGET_MAGIC, lv.stride, lv.grid_w, lv.grid_h, lv.k))
-        fh.write(np.ascontiguousarray(maps.location, dtype=np.uint8).tobytes())
-        fh.write(np.ascontiguousarray(maps.orientation, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(maps.shape_dw, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(maps.shape_dh, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(maps.shape_valid, dtype=np.uint8).tobytes())
+        fh.write(_HEADER.pack(magic, level.stride, level.grid_w, level.grid_h, level.k))
+        for arr, dtype in zip(grids, dtypes):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def read_map_header(data: bytes, magic: bytes) -> LevelSpec:
-    """Parse the common map-file header and return its LevelSpec."""
+def _read_map(path, magic: bytes, dtypes) -> tuple[LevelSpec, list[np.ndarray]]:
+    """Inverse of :func:`_write_map`: the level and one writable array per dtype."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if len(data) < _HEADER.size:
         raise ValueError("map file truncated: missing header")
     tag, stride, gw, gh, k = _HEADER.unpack_from(data)
     if tag != magic:
         raise ValueError(f"bad magic {tag!r}, expected {magic!r}")
-    return LevelSpec(stride=int(stride), k=float(k), grid_w=int(gw), grid_h=int(gh))
+    level = LevelSpec(stride=int(stride), k=float(k), grid_w=int(gw), grid_h=int(gh))
+    n = level.grid_w * level.grid_h
+    need = _HEADER.size + n * sum(np.dtype(d).itemsize for d in dtypes)
+    if len(data) != need:
+        raise ValueError(f"map file has {len(data)} bytes, expected {need}")
+    grids = []
+    off = _HEADER.size
+    for d in dtypes:
+        grid = np.frombuffer(data, dtype=d, count=n, offset=off)
+        grids.append(grid.reshape(level.grid_h, level.grid_w).copy())
+        off += grid.nbytes
+    return level, grids
+
+
+def save_target_maps(maps: TargetMaps, path) -> None:
+    """Write the map-file header with magic "TMAP", then five grids.
+
+    Grids: location bytes (0/1/255), orientation f32 (NaN where undefined),
+    shape_dw f32, shape_dh f32, shape_valid bytes (0/1).
+    """
+    grids = (maps.location, maps.orientation, maps.shape_dw, maps.shape_dh, maps.shape_valid)
+    _write_map(path, TARGET_MAGIC, maps.level, grids, _TARGET_DTYPES)
 
 
 def load_target_maps(path) -> TargetMaps:
     """Read a file written by :func:`save_target_maps`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    level = read_map_header(data, TARGET_MAGIC)
-    n = level.grid_w * level.grid_h
-    need = _HEADER.size + n * (1 + 4 + 4 + 4 + 1)
-    if len(data) != need:
-        raise ValueError(f"map file has {len(data)} bytes, expected {need}")
-    shape = (level.grid_h, level.grid_w)
-    off = _HEADER.size
-    location = np.frombuffer(data, dtype=np.uint8, count=n, offset=off).reshape(shape).copy()
-    off += n
-    orientation = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-    off += 4 * n
-    shape_dw = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-    off += 4 * n
-    shape_dh = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-    off += 4 * n
-    shape_valid = np.frombuffer(data, dtype=np.uint8, count=n, offset=off).reshape(shape) != 0
+    level, (location, orientation, shape_dw, shape_dh, valid) = _read_map(
+        path, TARGET_MAGIC, _TARGET_DTYPES
+    )
     return TargetMaps(
         level=level,
         location=location,
         orientation=orientation,
         shape_dw=shape_dw,
         shape_dh=shape_dh,
-        shape_valid=shape_valid,
+        shape_valid=valid != 0,
     )

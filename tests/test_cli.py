@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from rboxkit.cli import main
-from rboxkit.decode import Proposal
+from rboxkit.decode import PredictionMaps, Proposal, save_prediction_maps
 from rboxkit.formats import read_detection_file, write_detection_file
 from rboxkit.geom import RotatedBox, rotated_box_to_quad
+from rboxkit.targets import LevelSpec
 
 PI = math.pi
 
@@ -90,14 +91,55 @@ class TestEvaluate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_threads_flag_deterministic(self, scene, capsys):
+    def test_invalid_thresholds_rejected(self, scene, capsys):
         _, gt_dir, det_file, _ = scene
-        argv = ["evaluate", "--detections", str(det_file), "--gt", str(gt_dir), "--gt-format", "icdar15"]
-        main(argv)
-        single = capsys.readouterr().out
-        main(argv + ["--threads", "4"])
-        multi = capsys.readouterr().out
-        assert single == multi
+        rc = main(
+            [
+                "evaluate",
+                "--detections",
+                str(det_file),
+                "--gt",
+                str(gt_dir),
+                "--gt-format",
+                "icdar15",
+                "--iou-thresholds",
+                "1.5",
+                "0",
+                "-0.2",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    def test_zero_images_keep_thresholds(self, tmp_path, capsys):
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        det_file = tmp_path / "none.txt"
+        det_file.write_text("")
+        out_file = tmp_path / "metrics.tsv"
+        rc = main(
+            [
+                "evaluate",
+                "--detections",
+                str(det_file),
+                "--gt",
+                str(gt_dir),
+                "--gt-format",
+                "icdar15",
+                "--iou-thresholds",
+                "0.5",
+                "0.75",
+                "--output",
+                str(out_file),
+            ]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [r.split()[0] for r in rows] == ["0.50", "0.75"]
+        modes = [line.split("\t")[2] for line in out_file.read_text().splitlines()]
+        assert modes == ["0.50"] * 3 + ["0.75"] * 3
 
 
 class TestProposalRecall:
@@ -239,6 +281,41 @@ class TestLabelgenAndDecode:
             counts.append(len(records))
         assert counts == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("top_n", ["-1", "0"])
+    def test_decode_top_n_must_be_positive(self, scene, tmp_path, capsys, top_n):
+        out_dir, _ = self.run_labelgen(scene, tmp_path, capsys)
+        det_file = tmp_path / "decoded.txt"
+        rc = main(
+            [
+                "decode",
+                *map(str, sorted(out_dir.glob("*.tmap"))),
+                "--top-n",
+                top_n,
+                "--output",
+                str(det_file),
+            ]
+        )
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not det_file.exists()
+
+    def test_decode_shape_overflow_rejected(self, tmp_path, capsys):
+        lv = LevelSpec(stride=4, grid_w=4, grid_h=4)
+        maps = PredictionMaps(
+            level=lv,
+            location_prob=np.zeros((4, 4), dtype=np.float32),
+            orientation=np.full((4, 4), 0.5, dtype=np.float32),
+            shape_dw=np.zeros((4, 4), dtype=np.float32),
+            shape_dh=np.zeros((4, 4), dtype=np.float32),
+        )
+        maps.location_prob[1, 2] = 0.9
+        maps.shape_dw[1, 2] = 1000.0
+        pmap = tmp_path / "img.s4.pmap"
+        save_prediction_maps(maps, pmap)
+        rc = main(["decode", str(pmap), "--output", str(tmp_path / "out.txt")])
+        assert rc == 2
+        assert "overflow" in capsys.readouterr().err
+
 
 class TestNms:
     def test_duplicate_collapsed(self, tmp_path, capsys):
@@ -254,6 +331,19 @@ class TestNms:
         records, _ = read_detection_file(out_file)
         assert len(records) == 1
         assert records[0][1].score == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("thr", ["-1", "0", "1", "1.5"])
+    def test_threshold_outside_unit_interval(self, tmp_path, capsys, thr):
+        det_file = tmp_path / "in.txt"
+        boxes = [RotatedBox(50 + 3 * k, 50, 30, 12, 0.2) for k in range(4)]
+        write_detection_file(
+            det_file, [("img", Proposal(box=b, score=0.9 - 0.1 * k)) for k, b in enumerate(boxes)]
+        )
+        out_file = tmp_path / "out.txt"
+        rc = main(["nms", "--detections", str(det_file), "--nms-iou", thr, "--output", str(out_file)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_file.exists()
 
 
 class TestIouCommand:

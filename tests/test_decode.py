@@ -78,8 +78,6 @@ class TestDecodeAnchors:
         maps.location_prob[2, 2] = 0.6
         out = decode_anchors(maps, DecodeParams(t_a=0.1))
         assert [p.score for p in out] == pytest.approx([0.9, 0.6, 0.3])
-        top = decode_anchors(maps, DecodeParams(t_a=0.1, top_n=2))
-        assert [p.score for p in top] == pytest.approx([0.9, 0.6])
 
     def test_monotone_threshold_sets(self):
         rng = np.random.default_rng(31)
