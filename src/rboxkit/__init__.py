@@ -52,7 +52,17 @@ from .losses import (
     smooth_l1,
     total_loss,
 )
-from .polyiou import clip_convex, convex_hull, iou, iou_oracle, min_area_rect, polygon_area
+from .polyiou import (
+    box_array,
+    clip_convex,
+    convex_hull,
+    iou,
+    iou_matrix,
+    iou_pairs,
+    iou_oracle,
+    min_area_rect,
+    polygon_area,
+)
 from .targets import (
     LevelSpec,
     ShapeCandidateSet,

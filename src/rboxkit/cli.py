@@ -48,6 +48,8 @@ def _gt_dir_images(gt_dir: Path) -> dict[str, Path]:
 
 def _load_gt_map(gt_dir: Path, fmt: str, include_difficult: bool):
     """Per-image ground truth plus the total parse-error count."""
+    if not gt_dir.is_dir():
+        raise ValueError(f"ground-truth directory {gt_dir} does not exist or is not a directory")
     gt_map = {}
     n_errors = 0
     for image_id, path in _gt_dir_images(gt_dir).items():
@@ -128,9 +130,9 @@ def _in_bounds(box: RotatedBox, width: float, height: float) -> bool:
 def cmd_labelgen(args) -> int:
     gt_path = Path(args.gt)
     files = _gt_dir_images(gt_path) if gt_path.is_dir() else {gt_path.stem: gt_path}
+    levels = _build_levels(args)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    levels = _build_levels(args)
     shrink = targets.ShrinkParams(args.sigma1, args.sigma2)
     candidates = _candidates(args)
     n_errors = 0
@@ -212,6 +214,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_nms(args) -> int:
+    # checked here too, since polygon_nms never runs on a file without detections
+    if not 0.0 < args.nms_iou < 1.0:
+        raise ValueError(f"nms iou threshold must lie in (0, 1), got {args.nms_iou}")
     det_groups, det_errors = _read_detections(Path(args.detections))
     records = []
     for image_id in sorted(det_groups):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import GroundTruthItem, Proposal
-from .polyiou import iou
+from .polyiou import box_array, iou_matrix
 
 AVG_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -42,46 +44,48 @@ def _prf(matched: int, num_detections: int, num_gt: int) -> tuple[float, float, 
 
 
 def match_detections(
-    dets: list[Proposal], gts: list[GroundTruthItem], iou_threshold: float = 0.5
+    dets: list[Proposal],
+    gts: list[GroundTruthItem],
+    iou_threshold: float = 0.5,
+    *,
+    ious=None,
 ) -> EvalReport:
     """Greedy one-to-one matching at a fixed IoU threshold.
 
     Detections are visited in descending score (ties keep input order) and
-    take the unmatched ground truth of highest IoU when that IoU reaches
-    the threshold. Empty denominators yield 0.
+    take the unmatched ground truth of highest IoU (the first on ties) when
+    that IoU reaches the threshold. Empty denominators yield 0. ``ious`` is
+    the detection x ground-truth IoU matrix when the caller already has it;
+    it is computed here otherwise.
     """
-    care = [g for g in gts if not g.dont_care]
-    ignore = [g for g in gts if g.dont_care]
+    ious = _pair_ious(dets, gts) if ious is None else np.asarray(ious, dtype=np.float64)
+    if ious.shape != (len(dets), len(gts)):
+        raise ValueError(f"ious has shape {ious.shape}, expected {(len(dets), len(gts))}")
+    care = np.array([not g.dont_care for g in gts], dtype=bool)
 
-    kept = [
-        d
-        for d in dets
-        if not any(iou(d.box, g.box) > iou_threshold for g in ignore)
-    ]
-    kept.sort(key=lambda d: -d.score)
+    kept = np.flatnonzero(~(ious[:, ~care] > iou_threshold).any(axis=1))
+    kept = kept[np.argsort([-dets[k].score for k in kept], kind="stable")]
+    rows = ious[kept][:, care]
 
-    taken = [False] * len(care)
+    taken = np.zeros(rows.shape[1], dtype=bool)
     matched = 0
-    for d in kept:
-        best, best_iou = -1, 0.0
-        for k, g in enumerate(care):
-            if taken[k]:
-                continue
-            v = iou(d.box, g.box)
-            if v > best_iou:
-                best, best_iou = k, v
-        if best >= 0 and best_iou >= iou_threshold:
-            taken[best] = True
-            matched += 1
+    if rows.shape[1]:
+        # a detection below the threshold against every ground truth can never match
+        for row in rows[rows.max(axis=1) >= iou_threshold]:
+            free = np.where(taken, -1.0, row)
+            best = int(np.argmax(free))
+            if free[best] >= iou_threshold:
+                taken[best] = True
+                matched += 1
 
-    p, r, f = _prf(matched, len(kept), len(care))
+    p, r, f = _prf(matched, len(kept), len(taken))
     return EvalReport(
         precision=p,
         recall=r,
         f_measure=f,
         matched=matched,
         num_detections=len(kept),
-        num_gt=len(care),
+        num_gt=len(taken),
         iou_threshold=iou_threshold,
     )
 
@@ -103,11 +107,17 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
 def sweep_report(
     dets: list[Proposal], gts: list[GroundTruthItem], thresholds
 ) -> list[EvalReport]:
-    """One report per IoU threshold."""
+    """One report per IoU threshold, all from one detection x ground-truth IoU matrix."""
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise ValueError(f"iou threshold {t} outside (0, 1)")
-    return [match_detections(dets, gts, t) for t in thresholds]
+    ious = _pair_ious(dets, gts)
+    return [match_detections(dets, gts, t, ious=ious) for t in thresholds]
+
+
+def _pair_ious(rows, cols) -> np.ndarray:
+    """IoU matrix between the boxes of two lists of proposals or ground truths."""
+    return iou_matrix(box_array(x.box for x in rows), box_array(x.box for x in cols))
 
 
 def mode_label(mode) -> str:
@@ -149,39 +159,26 @@ def proposal_recall(
         if n <= 0:
             raise ValueError(f"top-N must be positive, got {n}")
 
-    # best IoU per (image, gt, N): reuse across modes
-    care_total = 0
-    best_per_n: dict[int, list[float]] = {n: [] for n in n_values}
+    # best IoU per care gt among the top N proposals, one row per N: a running
+    # maximum down the score-ranked rows of one matrix (after a row of zeros
+    # for "no proposal") answers every N at once
+    top = max(n_values, default=0)
+    best = [np.zeros((len(n_values), 0))]
     for props, gts in zip(proposals_per_image, gts_per_image):
-        ranked = sorted(props, key=lambda p: -p.score)
+        ranked = sorted(props, key=lambda p: -p.score)[:top]
         care = [g for g in gts if not g.dont_care]
-        care_total += len(care)
-        for n in n_values:
-            top = ranked[:n]
-            for g in care:
-                best = 0.0
-                for p in top:
-                    v = iou(p.box, g.box)
-                    if v > best:
-                        best = v
-                best_per_n[n].append(best)
+        running = np.maximum.accumulate(np.vstack([np.zeros((1, len(care))), _pair_ious(ranked, care)]))
+        best.append(running[[min(n, len(ranked)) for n in n_values]])
+    best = np.concatenate(best, axis=1)
+    care_total = best.shape[1]
 
     values = {}
-    for n in n_values:
-        best = best_per_n[n]
+    for n, row in zip(n_values, best):
         for mode in modes:
             label = mode_label(mode)
-            if label == "avg":
-                taus = AVG_THRESHOLDS
-                tr = (
-                    sum(sum(1 for b in best if b >= t) / care_total for t in taus) / len(taus)
-                    if care_total
-                    else 0.0
-                )
-            else:
-                tau = float(mode)
-                tr = sum(1 for b in best if b >= tau) / care_total if care_total else 0.0
-            values[(n, label)] = tr
+            taus = AVG_THRESHOLDS if label == "avg" else (float(mode),)
+            shares = [int(np.count_nonzero(row >= t)) / care_total if care_total else 0.0 for t in taus]
+            values[(n, label)] = sum(shares) / len(shares)
     return RecallReport(n_values=tuple(n_values), modes=tuple(mode_label(m) for m in modes), values=values)
 
 

@@ -3,6 +3,12 @@
 Polygons are (n, 2) float arrays of vertices in counter-clockwise order
 (positive shoelace area). Box-box intersections produce at most 8
 vertices once near-duplicates are merged.
+
+:func:`iou_pairs` is the one rotated-IoU kernel: it works on (N, 5) box
+arrays and lists the pairs that can overlap; :func:`iou_matrix` is its
+dense form and scalar :func:`iou` the 1x1 case. :func:`clip_convex`
+(Sutherland-Hodgman) and :func:`iou_oracle` (Monte Carlo) stay as the
+independent references it is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +21,11 @@ from .geom import RotatedBox, box_corners
 
 # on-edge classification and vertex-merge tolerance, in pixels
 _EPS = 1e-9
+# candidate pairs per step of iou_matrix's exact stage; bounds its temporaries
+_BLOCK = 1024
+# inclusive slack of the exact stage's tests: on the edge parameters of a
+# crossing, and (scaled by the box's area) on the inside tests
+_REL_TOL = 1e-10
 
 
 def polygon_area(vertices) -> float:
@@ -87,33 +98,195 @@ def clip_convex(subject, clip) -> np.ndarray:
     return result
 
 
+def box_array(boxes) -> np.ndarray:
+    """(N, 5) float64 rows of (cx, cy, w, h, theta), the input of :func:`iou_matrix`."""
+    return np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], dtype=np.float64).reshape(-1, 5)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """Exact IoU of every box in ``a`` against every box in ``b``.
+
+    ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta)
+    rows; the result is an (N, M) float64 matrix, filled from
+    :func:`iou_pairs`. ``iou_matrix(b, a)`` is bit-for-bit the transpose of
+    ``iou_matrix(a, b)``, and identical boxes read exactly 1.
+    """
+    i, j, v = iou_pairs(a, b)
+    out = np.zeros((len(a), len(b)), dtype=np.float64)
+    out[i, j] = v
+    if b is a:
+        out[j, i] = v
+        np.fill_diagonal(out, 1.0)
+    return out
+
+
+def iou_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """IoU of the pairs of ``a`` x ``b`` that can overlap: the sparse form of :func:`iou_matrix`.
+
+    Returns index arrays ``i``, ``j`` and the IoU of each pair ``(a[i], b[j])``
+    whose axis-aligned bounding boxes meet, in row-major order; every other
+    pair has IoU 0. When ``b`` is ``a`` (the same object), each unordered
+    pair is listed once, with i < j, and the unit diagonal is left out.
+
+    The pairs go through the exact stage in blocks of ``_BLOCK``, so memory
+    stays bounded by the pair list and one block. Each pair is ordered by
+    its (cx, cy, w, h, theta) tuples before any arithmetic, so a pair's
+    IoU does not depend on its argument order or on its position in a
+    block; identical boxes read exactly 1.
+    """
+    same = b is a
+    a = _rows(a)
+    b = a if same else _rows(b)
+    # a's rows, then b's (once when b is a); b's start at row off
+    table = _table(a if same else np.concatenate([a, b]))
+    off = len(table) - len(b)
+    ii, jj = _aabb_pairs(table[: len(a)], table[off:], upper=same)
+    vals = np.empty(len(ii), dtype=np.float64)
+    if len(ii):
+        rank = _tuple_rank(table[:, :5])
+        for k in range(0, len(ii), _BLOCK):
+            i, j = ii[k : k + _BLOCK], jj[k : k + _BLOCK] + off
+            # the pair's first box is the one with the smaller tuple
+            swap = rank[j] < rank[i]
+            v = _pair_iou(table[np.where(swap, j, i)], table[np.where(swap, i, j)])
+            v[rank[i] == rank[j]] = 1.0
+            vals[k : k + _BLOCK] = v
+    return ii, jj, vals
+
+
 def iou(a: RotatedBox, b: RotatedBox) -> float:
-    """Exact intersection-over-union of two rotated boxes."""
-    if a.area <= 0.0 or b.area <= 0.0:
+    """Exact intersection-over-union of two rotated boxes: the 1x1 case of :func:`iou_matrix`."""
+    return float(iou_matrix(box_array((a,)), box_array((b,)))[0, 0])
+
+
+# columns of the per-box table built by _table, after the five box parameters:
+# bounding-box half extents (x, y), corner offsets from the centre (four x,
+# then four y), the inside-test slack and the area
+_EXT_X, _EXT_Y, _OFF_X, _OFF_Y, _TOL, _AREA = 5, 6, slice(7, 11), slice(11, 15), 15, 16
+# corner offsets in half-side units, counter-clockwise from (-w/2, -h/2) as in box_corners
+_SIGN_U = np.array([-1.0, 1.0, 1.0, -1.0])
+_SIGN_V = np.array([-1.0, -1.0, 1.0, 1.0])
+# edge k runs from corner k to corner k + 1
+_NEXT4 = np.array([1, 2, 3, 0])
+_SLOTS = np.arange(24)
+_TINY = np.finfo(np.float64).tiny
+
+
+def _rows(boxes) -> np.ndarray:
+    arr = np.asarray(boxes, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"boxes must be an (N, 5) array, got shape {arr.shape}")
+    return arr
+
+
+def _table(arr: np.ndarray) -> np.ndarray:
+    """Validated box rows extended by what every pair needs from one box (see ``_EXT_X`` and on).
+
+    Cosine and sine go through libm, so no entry depends on its neighbours
+    in the array. A box's half extent is its largest corner offset, which
+    is the same float as hw |cos| + hh |sin|. The slack is in the units of
+    the edge cross products: _REL_TOL * w * h allows a point _REL_TOL * h
+    beyond a long edge and _REL_TOL * w beyond a short one.
+    """
+    if not np.isfinite(arr).all():
+        raise ValueError("box parameters must be finite")
+    t = np.empty((len(arr), 17), dtype=np.float64)
+    t[:, :5] = arr
+    t[:, _AREA] = arr[:, 2] * arr[:, 3]
+    if not (t[:, _AREA] > 0.0).all():
         raise ValueError("zero-area box passed to iou")
-    # fix the clipping order so iou(a, b) and iou(b, a) are bit-identical
-    ka = (a.cx, a.cy, a.w, a.h, a.theta)
-    kb = (b.cx, b.cy, b.w, b.h, b.theta)
-    if kb < ka:
-        a, b = b, a
-    ca = box_corners(a)
-    cb = box_corners(b)
-    # disjoint axis-aligned extents cannot intersect
-    if (
-        ca[:, 0].max() < cb[:, 0].min()
-        or cb[:, 0].max() < ca[:, 0].min()
-        or ca[:, 1].max() < cb[:, 1].min()
-        or cb[:, 1].max() < ca[:, 1].min()
-    ):
-        return 0.0
-    inter = polygon_area(clip_convex(ca, cb))
-    if inter <= 0.0:
-        return 0.0
-    # shoelace areas keep iou(b, b) exactly 1
-    area_a = polygon_area(ca)
-    area_b = polygon_area(cb)
-    union = area_a + area_b - inter
-    return min(max(inter / union, 0.0), 1.0)
+    t[:, _TOL] = _REL_TOL * t[:, _AREA]
+    cs = np.array([(math.cos(v), math.sin(v)) for v in arr[:, 4].tolist()]).reshape(-1, 2, 1)
+    c, s = cs[:, 0], cs[:, 1]
+    lu, lv = _SIGN_U * (arr[:, 2:3] / 2.0), _SIGN_V * (arr[:, 3:4] / 2.0)
+    t[:, _OFF_X] = lu * c - lv * s
+    t[:, _OFF_Y] = lu * s + lv * c
+    t[:, _EXT_X] = t[:, _OFF_X].max(axis=1)
+    t[:, _EXT_Y] = t[:, _OFF_Y].max(axis=1)
+    return t
+
+
+def _tuple_rank(params: np.ndarray) -> np.ndarray:
+    """Dense rank of each row in lexicographic order; equal rows share a rank."""
+    order = np.lexsort(params.T[::-1])
+    ranked = params[order]
+    rank = np.empty(len(params), dtype=np.intp)
+    rank[order] = np.concatenate([[0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))])
+    return rank
+
+
+def _aabb_pairs(ta, tb, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs whose axis-aligned bounding boxes meet (with ``upper``, only i < j).
+
+    Rows are tested a chunk at a time, which bounds the temporaries.
+    """
+    rows = max(1, _BLOCK * 16 // max(len(tb), 1))
+    ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for r in range(0, len(ta), rows):
+        a = ta[r : r + rows]
+        near = np.abs(a[:, 0, None] - tb[:, 0]) <= a[:, _EXT_X, None] + tb[:, _EXT_X]
+        near &= np.abs(a[:, 1, None] - tb[:, 1]) <= a[:, _EXT_Y, None] + tb[:, _EXT_Y]
+        if upper:
+            near &= np.arange(len(tb)) > np.arange(r, r + len(a))[:, None]
+        i, j = np.nonzero(near)
+        ii.append(i + r)
+        jj.append(j)
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+def _pair_iou(f, g) -> np.ndarray:
+    """IoU of the table rows (f[k], g[k]) for one block of candidate pairs."""
+    k = len(f)
+    # a frame at F's centre; G's corners are shifted by the centre offset
+    fx, fy = f[:, _OFF_X], f[:, _OFF_Y]
+    gx, gy = g[:, _OFF_X] + (g[:, 0:1] - f[:, 0:1]), g[:, _OFF_Y] + (g[:, 1:2] - f[:, 1:2])
+
+    # [i, j] over F's edge i and G's edge j: F_i + t (F_i+1 - F_i) = G_j + u (G_j+1 - G_j).
+    # The numerators are cross products that also place F_i against G's edge j
+    # (inside: >= 0) and G_j against F's edge i (inside: <= 0).
+    efx, efy = (fx[:, _NEXT4] - fx)[:, :, None], (fy[:, _NEXT4] - fy)[:, :, None]
+    egx, egy = (gx[:, _NEXT4] - gx)[:, None, :], (gy[:, _NEXT4] - gy)[:, None, :]
+    wx, wy = gx[:, None, :] - fx[:, :, None], gy[:, None, :] - fy[:, :, None]
+    side_f = wx * egy - wy * egx
+    side_g = wx * efy - wy * efx
+    # each (K, 4, 4) temporary is dropped once used, which keeps a block near 1 MB
+    del wx, wy
+    inside_f = (side_f >= -g[:, _TOL, None, None]).all(axis=2)
+    inside_g = (side_g <= f[:, _TOL, None, None]).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = efx * egy - efy * egx
+        t = side_f / det
+        u = side_g / det
+        del det, side_f, side_g
+        cross = (np.abs(t - 0.5) <= 0.5 + _REL_TOL) & (np.abs(u - 0.5) <= 0.5 + _REL_TOL)
+        del u
+        cx = fx[:, :, None] + t * efx
+        cy = fy[:, :, None] + t * efy
+        del t
+
+    # up to 24 candidate vertices: corners inside the other box, then the crossings
+    valid = np.concatenate([inside_f, inside_g, cross.reshape(k, 16)], axis=1)
+    xs = np.where(valid, np.concatenate([fx, gx, cx.reshape(k, 16)], axis=1), 0.0)
+    del cx
+    ys = np.where(valid, np.concatenate([fy, gy, cy.reshape(k, 16)], axis=1), 0.0)
+    del cy
+    n = valid.sum(axis=1)[:, None]
+    xs -= xs.sum(axis=1, keepdims=True) / np.maximum(n, 1)
+    ys -= ys.sum(axis=1, keepdims=True) / np.maximum(n, 1)
+
+    # order by a pseudo-angle around the mean, monotone in the true angle over [-2, 2];
+    # invalid slots sort last and then repeat the first vertex, so they add no area
+    key = np.copysign(1.0 - xs / np.maximum(np.abs(xs) + np.abs(ys), _TINY), ys)
+    order = np.argsort(np.where(valid, key, 3.0), axis=1, kind="stable")
+    del key
+    order = np.where(_SLOTS < n, order, order[:, :1])
+    rows = np.arange(k)[:, None]
+    xs, ys = xs[rows, order], ys[rows, order]
+    del order
+    area2 = (xs[:, :-1] * ys[:, 1:] - xs[:, 1:] * ys[:, :-1]).sum(axis=1)
+    area2 += xs[:, -1] * ys[:, 0] - xs[:, 0] * ys[:, -1]
+    inter = np.maximum(area2 / 2.0, 0.0)
+    return np.minimum(inter / (f[:, _AREA] + g[:, _AREA] - inter), 1.0)
 
 
 def iou_oracle(a: RotatedBox, b: RotatedBox, samples: int = 1_000_000, seed: int = 0) -> float:
@@ -122,42 +295,52 @@ def iou_oracle(a: RotatedBox, b: RotatedBox, samples: int = 1_000_000, seed: int
     Uniform samples over the joint axis-aligned bounding box are classified
     against each box in its own frame. Deterministic for a fixed seed;
     returns 0.0 when no sample lands in either box. Sampling runs in
-    float32 chunks to keep a million samples per pair cheap; that is ample
-    precision for pixel-scale coordinates.
+    float32 chunks, in buffers reused across chunks, to keep a million
+    samples per pair cheap; coordinates are taken relative to the joint
+    box's centre in float64 first, so the float32 cast keeps its precision
+    far from the origin.
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10000 samples, got {samples}")
     corners = np.vstack([box_corners(a), box_corners(b)])
     x0, y0 = corners.min(axis=0)
     x1, y1 = corners.max(axis=0)
+    mx, my = (x0 + x1) / 2.0, (y0 + y1) / 2.0
     rng = np.random.default_rng(seed)
 
-    fa = _frame32(a)
-    fb = _frame32(b)
+    frames = (_frame32(a, mx, my), _frame32(b, mx, my))
     sx, sy = np.float32(x1 - x0), np.float32(y1 - y0)
-    ox, oy = np.float32(x0), np.float32(y0)
+    ox, oy = np.float32(x0 - mx), np.float32(y0 - my)
+    chunk = min(131072, samples)
+    px, py, *scratch = (np.empty(chunk, dtype=np.float32) for _ in range(6))
+    inside = np.empty((3, chunk), dtype=bool)
     inter_n = 0
     union_n = 0
-    chunk = 131072
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
-        px = rng.random(n, dtype=np.float32) * sx + ox
-        py = rng.random(n, dtype=np.float32) * sy + oy
-        in_a = _inside32(px, py, fa)
-        in_b = _inside32(px, py, fb)
-        inter_n += int(np.count_nonzero(in_a & in_b))
-        union_n += int(np.count_nonzero(in_a | in_b))
+        x, y = px[:n], py[:n]
+        rng.random(dtype=np.float32, out=x)
+        x *= sx
+        x += ox
+        rng.random(dtype=np.float32, out=y)
+        y *= sy
+        y += oy
+        for k, frame in enumerate(frames):
+            _inside32(x, y, frame, [buf[:n] for buf in scratch], inside[k, :n], inside[2, :n])
+        both = int(np.count_nonzero(inside[0, :n] & inside[1, :n]))
+        inter_n += both
+        union_n += int(np.count_nonzero(inside[:2, :n])) - both
         done += n
     if union_n == 0:
         return 0.0
     return inter_n / union_n
 
 
-def _frame32(b: RotatedBox) -> tuple:
+def _frame32(b: RotatedBox, mx: float, my: float) -> tuple:
     return (
-        np.float32(b.cx),
-        np.float32(b.cy),
+        np.float32(b.cx - mx),
+        np.float32(b.cy - my),
         np.float32(math.cos(b.theta)),
         np.float32(math.sin(b.theta)),
         np.float32(b.w / 2.0),
@@ -165,11 +348,19 @@ def _frame32(b: RotatedBox) -> tuple:
     )
 
 
-def _inside32(px: np.ndarray, py: np.ndarray, frame: tuple) -> np.ndarray:
+def _inside32(px, py, frame: tuple, scratch, out, tmp) -> None:
+    """Write into ``out`` whether each sample lies in the box; works in caller-owned buffers."""
     cx, cy, c, s, hw, hh = frame
-    dx = px - cx
-    dy = py - cy
-    return (np.abs(dx * c + dy * s) <= hw) & (np.abs(dy * c - dx * s) <= hh)
+    dx, dy, u, v = scratch
+    np.subtract(px, cx, out=dx)
+    np.subtract(py, cy, out=dy)
+    # |dx c + dy s| <= hw and |dy c - dx s| <= hh
+    np.multiply(dx, c, out=u)
+    u += np.multiply(dy, s, out=v)
+    np.less_equal(np.abs(u, out=u), hw, out=out)
+    np.multiply(dy, c, out=u)
+    u -= np.multiply(dx, s, out=v)
+    out &= np.less_equal(np.abs(u, out=u), hh, out=tmp)
 
 
 def convex_hull(points) -> np.ndarray:

@@ -193,6 +193,9 @@ def make_levels(
     long_ratio_strides=(4, 8),
 ) -> list[LevelSpec]:
     """Level specs covering an image, one grid cell per stride step."""
+    for s in strides:
+        if s < 1:
+            raise ValueError(f"stride must be >= 1, got {s}")
     return [
         LevelSpec(
             stride=s,

@@ -142,7 +142,26 @@ class TestEvaluate:
         assert modes == ["0.50"] * 3 + ["0.75"] * 3
 
 
+    def test_missing_gt_dir_rejected(self, scene, capsys):
+        tmp, _, det_file, _ = scene
+        args = ["--detections", str(det_file), "--gt", str(tmp / "nodir"), "--gt-format", "icdar15"]
+        rc = main(["evaluate", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "nodir" in captured.err
+        assert captured.out == ""
+
+
 class TestProposalRecall:
+    def test_missing_gt_dir_rejected(self, scene, capsys):
+        tmp, _, det_file, _ = scene
+        args = ["--proposals", str(det_file), "--gt", str(tmp / "nodir"), "--gt-format", "icdar15"]
+        rc = main(["proposal-recall", *args])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "nodir" in captured.err
+        assert captured.out == ""
+
     def test_perfect_grid(self, scene, capsys):
         tmp, gt_dir, det_file, _ = scene
         rc = main(
@@ -208,6 +227,16 @@ class TestLabelgenAndDecode:
         assert len(list(out_dir.glob("*.tmap"))) == 8  # 2 images x 4 levels
         for line in out.strip().splitlines():
             assert "positive=" in line and "ignore=" in line
+
+    def test_labelgen_zero_stride_rejected(self, scene, tmp_path, capsys):
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(
+            ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", "--strides", "0", "--output", str(out_dir)]
+        )
+        assert rc == 2
+        assert "error: stride must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_labelgen_deterministic_bytes(self, scene, tmp_path, capsys):
         d1, _ = self.run_labelgen(scene, tmp_path / "a", capsys)
@@ -341,6 +370,16 @@ class TestNms:
         )
         out_file = tmp_path / "out.txt"
         rc = main(["nms", "--detections", str(det_file), "--nms-iou", thr, "--output", str(out_file)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_file.exists()
+
+
+    def test_threshold_checked_on_empty_file(self, tmp_path, capsys):
+        det_file = tmp_path / "empty.txt"
+        det_file.write_text("")
+        out_file = tmp_path / "out.txt"
+        rc = main(["nms", "--detections", str(det_file), "--nms-iou", "7", "--output", str(out_file)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not out_file.exists()

@@ -170,6 +170,40 @@ class TestPolygonNms:
             )
 
 
+    def test_matches_pairwise_loop(self):
+        # reference: the greedy loop with one scalar iou call per pair
+        def loop_nms(proposals, thr):
+            order = sorted(range(len(proposals)), key=lambda k: -proposals[k].score)
+            alive = [True] * len(proposals)
+            kept = []
+            for idx in order:
+                if not alive[idx]:
+                    continue
+                kept.append(idx)
+                alive[idx] = False
+                for jdx in order:
+                    if alive[jdx] and iou(proposals[idx].box, proposals[jdx].box) > thr:
+                        alive[jdx] = False
+            return [proposals[k] for k in kept]
+
+        rng = np.random.default_rng(53)
+        for _ in range(3):
+            props = [
+                prop(
+                    rng.uniform(0, 60),
+                    rng.uniform(0, 60),
+                    rng.uniform(5, 30),
+                    rng.uniform(3, 20),
+                    rng.uniform(-PI / 2, PI / 2 - 1e-6),
+                    round(float(rng.random()), 1),  # many score ties
+                )
+                for _ in range(40)
+            ]
+            props += props[:3]  # exact duplicates
+            for thr in (0.1, 0.3, 0.7):
+                assert polygon_nms(props, thr) == loop_nms(props, thr)
+
+
 class TestAnchorStatistics:
     def test_empty(self):
         st = anchor_statistics([], 100)

@@ -130,6 +130,49 @@ class TestMatchDetections:
         assert conflicts <= 6  # greedy is the contract, not optimality
 
 
+    def test_matches_pairwise_loop(self):
+        # reference: don't-care filter and greedy matching, one scalar iou call per pair
+        def loop_match(dets, gts, thr):
+            care = [g for g in gts if not g.dont_care]
+            ignore = [g for g in gts if g.dont_care]
+            kept = [d for d in dets if not any(iou(d.box, g.box) > thr for g in ignore)]
+            kept.sort(key=lambda d: -d.score)
+            taken = [False] * len(care)
+            matched = 0
+            for d in kept:
+                best, best_iou = -1, 0.0
+                for k, g in enumerate(care):
+                    v = iou(d.box, g.box)
+                    if not taken[k] and v > best_iou:
+                        best, best_iou = k, v
+                if best >= 0 and best_iou >= thr:
+                    taken[best] = True
+                    matched += 1
+            return matched, len(kept), len(care)
+
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            gts = random_scene(rng, 0, 12)[1]
+            # jittered copies of the ground truth with tied scores, plus clutter
+            dets = [
+                det(g.box.cx + rng.normal(0, 3), g.box.cy + rng.normal(0, 3), round(float(rng.random()), 1),
+                    g.box.w, g.box.h, g.box.theta)
+                for g in gts + gts[:4]
+            ] + random_scene(rng, 8, 0)[0]
+            for thr in (0.3, 0.5, 0.75):
+                r = match_detections(dets, gts, thr)
+                assert (r.matched, r.num_detections, r.num_gt) == loop_match(dets, gts, thr)
+
+    def test_given_ious_match_computed(self):
+        rng = np.random.default_rng(61)
+        dets, gts = random_scene(rng, 30, 10)
+        ious = np.array([[iou(d.box, g.box) for g in gts] for d in dets])
+        for thr in (0.3, 0.5):
+            assert match_detections(dets, gts, thr, ious=ious) == match_detections(dets, gts, thr)
+        with pytest.raises(ValueError):
+            match_detections(dets, gts, 0.5, ious=ious[:, :-1])
+
+
 class TestSweepReport:
     def test_perfect_rows(self):
         gts = [gt(10, 10)]

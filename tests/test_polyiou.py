@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rboxkit.geom import RotatedBox, box_corners
 from rboxkit.polyiou import (
+    box_array,
     clip_convex,
     convex_hull,
     iou,
+    iou_matrix,
     iou_oracle,
+    iou_pairs,
     min_area_rect,
     polygon_area,
 )
@@ -149,6 +154,150 @@ class TestIou:
         assert 0.0 < exact < 1.0
 
 
+class TestIouMatrix:
+    def test_shape_and_empty_sides(self):
+        a = box_array([RotatedBox(0, 0, 4, 2, 0.1), RotatedBox(50, 0, 4, 2, 0.0)])
+        assert iou_matrix(a, a[:0]).shape == (2, 0)
+        assert iou_matrix(a[:0], a).shape == (0, 2)
+        assert iou_matrix(a, a[:1]).shape == (2, 1)
+
+    def test_known_values(self):
+        a = box_array([RotatedBox(0, 0, 2, 2, 0), RotatedBox(0, 0, 1, 1, 0)])
+        b = box_array([RotatedBox(1, 0, 2, 2, 0), RotatedBox.make(0, 0, 1, 1, PI / 4), RotatedBox(9, 9, 1, 1, 0)])
+        m = iou_matrix(a, b)
+        inter = 2 * (math.sqrt(2) - 1)
+        assert m[0, 0] == pytest.approx(2.0 / 6.0, abs=1e-15)
+        assert m[1, 1] == pytest.approx(inter / (2 - inter), abs=1e-15)
+        assert m[0, 2] == 0.0 and m[1, 2] == 0.0
+
+    def test_touching_boxes_zero(self):
+        a = box_array([RotatedBox(0, 0, 2, 2, 0)])
+        b = box_array([RotatedBox(2, 0, 2, 2, 0), RotatedBox(2, 2, 2, 2, 0)])
+        assert np.all(iou_matrix(a, b) == 0.0)
+
+    def test_self_matrix_equals_general_path(self):
+        rng = np.random.default_rng(83)
+        a = box_array(random_box(rng) for _ in range(40))
+        a[5] = a[9]  # a duplicate row reads 1 against itself
+        m = iou_matrix(a, a)
+        assert np.array_equal(m, iou_matrix(a, a.copy()))
+        assert m[5, 9] == 1.0 and np.all(np.diag(m) == 1.0)
+
+    def test_pairs_are_the_sparse_matrix(self):
+        rng = np.random.default_rng(89)
+        a = box_array(random_box(rng) for _ in range(30))
+        b = box_array(random_box(rng) for _ in range(20))
+        i, j, v = iou_pairs(a, b)
+        dense = np.zeros((30, 20))
+        dense[i, j] = v
+        assert np.array_equal(dense, iou_matrix(a, b))
+        assert np.all(np.diff(i * 20 + j) > 0)  # row-major, no repeats
+        # one array against itself: each unordered pair once, i < j, no diagonal
+        i, j, v = iou_pairs(a, a)
+        assert np.all(i < j)
+        full = iou_matrix(a, a)
+        assert np.array_equal(v, full[i, j])
+        assert np.count_nonzero(np.triu(full, 1)) == np.count_nonzero(v)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            iou_matrix(np.zeros((2, 4)), np.zeros((2, 5)))
+        bad = box_array([RotatedBox(0, 0, 2, 1, 0)])
+        bad[0, 3] = 0.0
+        with pytest.raises(ValueError, match="zero-area"):
+            iou_matrix(bad, box_array([RotatedBox(0, 0, 2, 1, 0)]))
+        bad[0, 3] = np.nan
+        with pytest.raises(ValueError):
+            iou_matrix(bad, bad)
+
+    def test_scalar_keeps_zero_area_error(self):
+        tiny = RotatedBox(0, 0, 1e-200, 1e-200, 0)
+        with pytest.raises(ValueError, match="zero-area"):
+            iou(tiny, RotatedBox(0, 0, 2, 1, 0))
+
+    def test_far_from_origin_matches_local_frame(self):
+        # the 2x1 px pair that scalar shoelace areas on absolute coordinates
+        # got wrong by 3e-4 at a 1e6 px offset
+        a = RotatedBox(0.3, -0.2, 2, 1, 0.3)
+        b = RotatedBox(0.9, 0.1, 2, 1, -0.4)
+        near = iou(a, b)
+        for off in (1e3, 1e5, 1e6):
+            far = iou(
+                RotatedBox(a.cx + off, a.cy - off, a.w, a.h, a.theta),
+                RotatedBox(b.cx + off, b.cy - off, b.w, b.h, b.theta),
+            )
+            assert abs(far - near) < 1e-9
+
+
+# property tests: boxes as canonical (cx, cy, w, h, theta) rows, sides of at
+# least 2 px so that a translation's rounding (half an ulp, 6e-11 px at 1e6)
+# moves IoU by well under 1e-9
+_side = st.floats(2.0, 60.0)
+_angle = st.floats(-PI / 2, PI / 2, exclude_max=True)
+_near = st.floats(-40.0, 40.0)
+_far = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _box(draw, cx=_near, cy=_near):
+    return RotatedBox.make(draw(cx), draw(cy), draw(_side), draw(_side), draw(_angle))
+
+
+@st.composite
+def _pair(draw):
+    """Two boxes whose centres lie within 30 px of each other, anywhere up to 1e6 px out."""
+    base_x, base_y = draw(_far), draw(_far)
+    a = draw(_box(st.just(base_x), st.just(base_y)))
+    b = draw(_box(st.floats(base_x - 30, base_x + 30), st.floats(base_y - 30, base_y + 30)))
+    return a, b
+
+
+_boxes = st.lists(_box(), min_size=1, max_size=8).map(box_array)
+
+
+def _moved(b: RotatedBox, dx: float, dy: float, rot: float = 0.0) -> RotatedBox:
+    c, s = math.cos(rot), math.sin(rot)
+    return RotatedBox.make(b.cx * c - b.cy * s + dx, b.cx * s + b.cy * c + dy, b.w, b.h, b.theta + rot)
+
+
+class TestIouProperties:
+    @given(_boxes, _boxes)
+    def test_transpose_is_bit_for_bit(self, a, b):
+        assert np.array_equal(iou_matrix(b, a), iou_matrix(a, b).T)
+
+    @given(_boxes, _boxes)
+    def test_values_in_unit_interval(self, a, b):
+        m = iou_matrix(a, b)
+        assert np.all((m >= 0.0) & (m <= 1.0))
+
+    @given(_boxes, _boxes)
+    def test_entries_equal_scalar_iou(self, a, b):
+        m = iou_matrix(a, b)
+        for i, j in np.ndindex(*m.shape):
+            assert m[i, j] == iou(RotatedBox(*a[i]), RotatedBox(*b[j]))
+
+    @given(_box(_far, _far))
+    def test_self_iou_is_one(self, b):
+        assert iou(b, b) == 1.0
+
+    @given(_pair(), _far, _far)
+    def test_translation_invariant(self, pair, dx, dy):
+        a, b = pair
+        assert abs(iou(_moved(a, dx, dy), _moved(b, dx, dy)) - iou(a, b)) < 1e-9
+
+    @given(_box(), _box(), st.floats(-PI, PI))
+    def test_rotation_invariant(self, a, b, rot):
+        assert abs(iou(_moved(a, 0.0, 0.0, rot), _moved(b, 0.0, 0.0, rot)) - iou(a, b)) < 1e-9
+
+    @given(_pair())
+    def test_agrees_with_clipping_in_local_frame(self, pair):
+        a, b = pair
+        local_a, local_b = _moved(a, -a.cx, -a.cy), _moved(b, -a.cx, -a.cy)
+        inter = polygon_area(clip_convex(box_corners(local_a), box_corners(local_b)))
+        expected = inter / (a.area + b.area - inter)
+        assert abs(iou(a, b) - expected) < 1e-9
+
+
 class TestIouOracle:
     def test_self_close_to_one(self):
         b = RotatedBox(3, -2, 8, 3, 0.4)
@@ -165,6 +314,15 @@ class TestIouOracle:
         v1 = iou_oracle(a, b, samples=20_000, seed=5)
         v2 = iou_oracle(a, b, samples=20_000, seed=5)
         assert v1 == v2
+
+    def test_far_from_origin(self):
+        # sampled in a local frame: at a 1e6 px offset the float32 samples keep
+        # sub-pixel resolution, and the estimate stays deterministic
+        a = RotatedBox(1e6 + 0.3, 1e6 - 0.2, 2, 1, 0.3)
+        b = RotatedBox(1e6 + 0.9, 1e6 + 0.1, 2, 1, -0.4)
+        approx = iou_oracle(a, b, samples=1_000_000, seed=3)
+        assert abs(approx - iou(a, b)) < 0.002
+        assert iou_oracle(a, b, samples=1_000_000, seed=3) == approx
 
     def test_sample_floor(self):
         b = RotatedBox(0, 0, 2, 1, 0)
