@@ -8,6 +8,7 @@ Results go to stdout, diagnostics to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -266,7 +267,12 @@ def cmd_convert(args) -> int:
     return 1 if errors else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use.
+
+    Every list default is a tuple, so no call can change what the next one sees.
+    """
     parser = argparse.ArgumentParser(
         prog="rboxkit",
         description="Rotated-box detection tooling: label generation, decoding, NMS, metrics.",
@@ -285,26 +291,26 @@ def build_parser() -> argparse.ArgumentParser:
     def add_level_flags(p):
         p.add_argument("--image-width", type=int, default=1333)
         p.add_argument("--image-height", type=int, default=800)
-        p.add_argument("--strides", type=int, nargs="+", default=list(DEFAULT_STRIDES))
+        p.add_argument("--strides", type=int, nargs="+", default=DEFAULT_STRIDES)
         p.add_argument("--k", type=float, default=5.0)
-        p.add_argument("--scales", type=float, nargs="+", default=[8, 16, 32, 64])
-        p.add_argument("--ratios", type=float, nargs="+", default=[1, 2, 4])
-        p.add_argument("--long-ratios", type=float, nargs="+", default=[3, 5, 7])
+        p.add_argument("--scales", type=float, nargs="+", default=(8, 16, 32, 64))
+        p.add_argument("--ratios", type=float, nargs="+", default=(1, 2, 4))
+        p.add_argument("--long-ratios", type=float, nargs="+", default=(3, 5, 7))
         p.add_argument(
-            "--long-ratio-strides", type=int, nargs="+", default=list(DEFAULT_LONG_RATIO_STRIDES)
+            "--long-ratio-strides", type=int, nargs="+", default=DEFAULT_LONG_RATIO_STRIDES
         )
 
     p = sub.add_parser("evaluate", help="precision/recall/F over a detection file")
     p.add_argument("--detections", required=True)
     add_gt_flags(p)
-    p.add_argument("--iou-thresholds", type=float, nargs="+", default=[0.5])
+    p.add_argument("--iou-thresholds", type=float, nargs="+", default=(0.5,))
     p.add_argument("--output", help="machine-readable metric file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("proposal-recall", help="TR at top-N proposals per image")
     p.add_argument("--proposals", required=True)
     add_gt_flags(p)
-    p.add_argument("--top-n", type=int, nargs="+", default=[50, 100, 300])
+    p.add_argument("--top-n", type=int, nargs="+", default=(50, 100, 300))
     p.add_argument("--output", help="machine-readable metric file")
     p.set_defaults(func=cmd_proposal_recall)
 

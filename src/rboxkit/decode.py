@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geom import Proposal, RotatedBox, unit_to_angle
-from .polyiou import box_array, iou_pairs
+from .polyiou import box_array, greedy_nms
 from .targets import (
     LOC_POSITIVE,
     LevelSpec,
@@ -109,19 +109,8 @@ def polygon_nms(proposals: list[Proposal], iou_threshold: float = 0.3) -> list[P
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"nms iou threshold must lie in (0, 1), got {iou_threshold}")
     order = sorted(range(len(proposals)), key=lambda k: -proposals[k].score)
-    boxes = box_array(proposals[k].box for k in order)
-    # pairs r < s of the score order that overlap beyond the threshold, grouped by r
-    r, s, v = iou_pairs(boxes, boxes)
-    hit = v > iou_threshold
-    r, s = r[hit], s[hit]
-    row = np.searchsorted(r, np.arange(len(order) + 1))
-    alive = np.ones(len(order), dtype=bool)
-    kept: list[int] = []
-    for k, idx in enumerate(order):
-        if alive[k]:
-            kept.append(idx)
-            alive[s[row[k] : row[k + 1]]] = False
-    return [proposals[k] for k in kept]
+    kept = greedy_nms(box_array(proposals[k].box for k in order), iou_threshold)
+    return [proposals[order[r]] for r in kept.tolist()]
 
 
 @dataclass(frozen=True)

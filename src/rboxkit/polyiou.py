@@ -6,7 +6,9 @@ vertices once near-duplicates are merged.
 
 :func:`iou_pairs` is the one rotated-IoU kernel: it works on (N, 5) box
 arrays and lists the pairs that can overlap; :func:`iou_matrix` is its
-dense form and scalar :func:`iou` the 1x1 case. :func:`clip_convex`
+dense form and scalar :func:`iou` the 1x1 case. :func:`greedy_nms` runs
+greedy suppression on the same exact stage, over only the pairs that
+greedy reads. :func:`clip_convex`
 (Sutherland-Hodgman) and :func:`iou_oracle` (Monte Carlo) stay as the
 independent references it is tested against.
 """
@@ -21,7 +23,7 @@ from .geom import RotatedBox, box_corners
 
 # on-edge classification and vertex-merge tolerance, in pixels
 _EPS = 1e-9
-# candidate pairs per step of iou_matrix's exact stage; bounds its temporaries
+# candidate pairs per step of the exact stage; bounds its temporaries
 _BLOCK = 1024
 # inclusive slack of the exact stage's tests: on the edge parameters of a
 # crossing, and (scaled by the box's area) on the inside tests
@@ -141,17 +143,41 @@ def iou_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = _table(a if same else np.concatenate([a, b]))
     off = len(table) - len(b)
     ii, jj = _aabb_pairs(table[: len(a)], table[off:], upper=same)
-    vals = np.empty(len(ii), dtype=np.float64)
-    if len(ii):
-        rank = _tuple_rank(table[:, :5])
-        for k in range(0, len(ii), _BLOCK):
-            i, j = ii[k : k + _BLOCK], jj[k : k + _BLOCK] + off
-            # the pair's first box is the one with the smaller tuple
-            swap = rank[j] < rank[i]
-            v = _pair_iou(table[np.where(swap, j, i)], table[np.where(swap, i, j)])
-            v[rank[i] == rank[j]] = 1.0
-            vals[k : k + _BLOCK] = v
-    return ii, jj, vals
+    if not len(ii):
+        return ii, jj, np.empty(0, dtype=np.float64)
+    return ii, jj, _exact(table, _tuple_rank(table[:, :5]), ii, jj + off)
+
+
+def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
+    """Rows kept by greedy non-maximum suppression over ``boxes``, in increasing order.
+
+    ``boxes`` is an (N, 5) array in priority order: a row is kept unless a
+    kept row before it has IoU strictly above ``iou_threshold`` with it.
+    The pass runs in rounds over the pairs whose bounding boxes meet. Each
+    round keeps every undecided row whose earlier partners are all decided
+    (the first undecided row always is, and no two rows kept in one round
+    are partners), then computes the exact IoU of each pair (newly kept
+    row, undecided later partner) only, and suppresses the partners above
+    the threshold. Every IoU it computes equals the one :func:`iou_pairs`
+    gives, so the result is that of the sequential greedy pass over all pairs.
+    """
+    table = _table(_rows(boxes))
+    rank = _tuple_rank(table[:, :5])
+    # the pair list only ever holds pairs whose rows are both undecided
+    i, j = _aabb_pairs(table, table, upper=True)
+    undecided = np.ones(len(table), dtype=bool)
+    kept = np.zeros(len(table), dtype=bool)
+    while undecided.any():
+        new = undecided.copy()
+        new[j] = False
+        kept |= new
+        undecided &= ~new
+        fresh = new[i]
+        later = j[fresh]
+        undecided[later[_exact(table, rank, i[fresh], later) > iou_threshold]] = False
+        live = undecided[i] & undecided[j]
+        i, j = i[live], j[live]
+    return np.flatnonzero(kept)
 
 
 def iou(a: RotatedBox, b: RotatedBox) -> float:
@@ -192,9 +218,12 @@ def _table(arr: np.ndarray) -> np.ndarray:
         raise ValueError("box parameters must be finite")
     t = np.empty((len(arr), 17), dtype=np.float64)
     t[:, :5] = arr
-    t[:, _AREA] = arr[:, 2] * arr[:, 3]
+    with np.errstate(over="ignore"):
+        t[:, _AREA] = arr[:, 2] * arr[:, 3]
     if not (t[:, _AREA] > 0.0).all():
         raise ValueError("zero-area box passed to iou")
+    if not np.isfinite(t[:, _AREA]).all():
+        raise ValueError("box area w * h overflows to infinity")
     t[:, _TOL] = _REL_TOL * t[:, _AREA]
     cs = np.array([(math.cos(v), math.sin(v)) for v in arr[:, 4].tolist()]).reshape(-1, 2, 1)
     c, s = cs[:, 0], cs[:, 1]
@@ -213,6 +242,22 @@ def _tuple_rank(params: np.ndarray) -> np.ndarray:
     rank = np.empty(len(params), dtype=np.intp)
     rank[order] = np.concatenate([[0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))])
     return rank
+
+
+def _exact(table: np.ndarray, rank: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Exact IoU of the table row pairs (i[k], j[k]), in blocks of ``_BLOCK``.
+
+    ``rank`` is the :func:`_tuple_rank` of the table's box parameters.
+    """
+    vals = np.empty(len(i), dtype=np.float64)
+    for k in range(0, len(i), _BLOCK):
+        bi, bj = i[k : k + _BLOCK], j[k : k + _BLOCK]
+        # the pair's first box is the one with the smaller tuple
+        swap = rank[bj] < rank[bi]
+        v = _pair_iou(table[np.where(swap, bj, bi)], table[np.where(swap, bi, bj)])
+        v[rank[bi] == rank[bj]] = 1.0
+        vals[k : k + _BLOCK] = v
+    return vals
 
 
 def _aabb_pairs(ta, tb, upper: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rboxkit.cli import main
+import rboxkit
+from rboxkit.cli import build_parser, main
 from rboxkit.decode import PredictionMaps, Proposal, save_prediction_maps
 from rboxkit.formats import read_detection_file, write_detection_file
 from rboxkit.geom import RotatedBox, rotated_box_to_quad
@@ -375,6 +380,16 @@ class TestNms:
         assert not out_file.exists()
 
 
+    def test_area_overflow_rejected(self, tmp_path, capsys):
+        # w * h overflows: its IoU was nan, so nan > threshold kept it silently
+        det_file = tmp_path / "in.txt"
+        det_file.write_text("img 1 2 1e200 1e200 0 0.9\nimg 1 2 1e200 1e200 0.3 0.8\n")
+        out_file = tmp_path / "out.txt"
+        rc = main(["nms", "--detections", str(det_file), "--output", str(out_file)])
+        assert rc == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_threshold_checked_on_empty_file(self, tmp_path, capsys):
         det_file = tmp_path / "empty.txt"
         det_file.write_text("")
@@ -406,6 +421,37 @@ class TestIouCommand:
         rc = main(["iou", "--box-a", "1,2,3", "--box-b", "0,0,20,10,0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_area_overflow_rejected(self, capsys):
+        rc = main(["iou", "--box-a", "1,2,1e200,1e200,0", "--box-b", "1,2,1e200,1e200,0.3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: box area" in captured.err
+        assert "nan" not in captured.out
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_match_fresh_processes(self, scene, capsys):
+        # the parser is built once per process; a call that sets list flags
+        # must leave the defaults of the next call as a fresh process has them
+        tmp, gt_dir, det_file, _ = scene
+        gt = ["--gt", str(gt_dir), "--gt-format", "icdar15"]
+        calls = [
+            ["evaluate", "--detections", str(det_file), *gt, "--iou-thresholds", "0.3", "0.9"],
+            ["evaluate", "--detections", str(det_file), *gt],
+            ["proposal-recall", "--proposals", str(det_file), *gt, "--top-n", "1", "2"],
+            ["proposal-recall", "--proposals", str(det_file), *gt],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(rboxkit.__file__).parents[1]))
+        build_parser.cache_clear()
+        for argv in calls:
+            rc = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "rboxkit.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (rc, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert build_parser.cache_info().misses == 1
 
 
 class TestConvert:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rboxkit import polyiou
 from rboxkit.decode import (
     AnchorStats,
     DecodeParams,
@@ -99,6 +102,43 @@ class TestDecodeAnchors:
         assert a == b
 
 
+def loop_nms(proposals, thr):
+    """Reference: the greedy loop with one scalar iou call per pair."""
+    order = sorted(range(len(proposals)), key=lambda k: -proposals[k].score)
+    alive = [True] * len(proposals)
+    kept = []
+    for idx in order:
+        if not alive[idx]:
+            continue
+        kept.append(idx)
+        alive[idx] = False
+        for jdx in order:
+            if alive[jdx] and iou(proposals[idx].box, proposals[jdx].box) > thr:
+                alive[jdx] = False
+    return [proposals[k] for k in kept]
+
+
+@st.composite
+def clustered_proposals(draw):
+    """1-3 clusters of overlapping boxes, scores on a coarse grid (ties), some exact duplicates."""
+    props = []
+    for _ in range(draw(st.integers(1, 3))):
+        cx, cy = draw(st.floats(0, 80)), draw(st.floats(0, 80))
+        for _ in range(draw(st.integers(1, 8))):
+            props.append(
+                prop(
+                    cx + draw(st.floats(-8, 8)),
+                    cy + draw(st.floats(-8, 8)),
+                    draw(st.floats(4, 30)),
+                    draw(st.floats(2, 15)),
+                    draw(st.floats(-PI / 2, PI / 2, exclude_max=True)),
+                    draw(st.integers(0, 4)) / 4,
+                )
+            )
+    copies = draw(st.lists(st.integers(0, len(props) - 1), max_size=3))
+    return props + [props[k] for k in copies]
+
+
 class TestPolygonNms:
     def test_single_proposal(self):
         p = prop(0, 0, 10, 5, 0.2, 0.7)
@@ -171,21 +211,6 @@ class TestPolygonNms:
 
 
     def test_matches_pairwise_loop(self):
-        # reference: the greedy loop with one scalar iou call per pair
-        def loop_nms(proposals, thr):
-            order = sorted(range(len(proposals)), key=lambda k: -proposals[k].score)
-            alive = [True] * len(proposals)
-            kept = []
-            for idx in order:
-                if not alive[idx]:
-                    continue
-                kept.append(idx)
-                alive[idx] = False
-                for jdx in order:
-                    if alive[jdx] and iou(proposals[idx].box, proposals[jdx].box) > thr:
-                        alive[jdx] = False
-            return [proposals[k] for k in kept]
-
         rng = np.random.default_rng(53)
         for _ in range(3):
             props = [
@@ -202,6 +227,42 @@ class TestPolygonNms:
             props += props[:3]  # exact duplicates
             for thr in (0.1, 0.3, 0.7):
                 assert polygon_nms(props, thr) == loop_nms(props, thr)
+
+    def test_chain_needs_several_rounds(self, monkeypatch):
+        # each box overlaps the next at IoU 7/13 and the one after at 4/16:
+        # a drops b, so c survives and drops d, so e survives
+        a, b, c, d, e = (prop(3.0 * k, 0, 10, 5, 0.0, 0.9 - 0.1 * k) for k in range(5))
+        props = [e, d, c, b, a]
+        assert loop_nms(props, 0.3) == [a, c, e]
+        rounds = []
+        exact = polyiou._exact
+        monkeypatch.setattr(polyiou, "_exact", lambda *args: rounds.append(args[2]) or exact(*args))
+        assert polygon_nms(props, 0.3) == [a, c, e]
+        assert len(rounds) == 3
+
+    @given(clustered_proposals(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_matches_pairwise_loop_property(self, props, thr):
+        assert polygon_nms(props, thr) == loop_nms(props, thr)
+
+    def test_exact_iou_only_from_kept_boxes(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        centres = rng.uniform(0, 200, size=(6, 2))
+        boxes = np.column_stack(
+            [
+                centres[rng.integers(0, 6, 120)] + rng.normal(0, 6, (120, 2)),
+                rng.uniform(8, 40, 120),
+                rng.uniform(4, 16, 120),
+                rng.uniform(-PI / 2, PI / 2, 120),
+            ]
+        )
+        aabb_pairs = len(polyiou.iou_pairs(boxes, boxes)[0])
+        firsts = []
+        exact = polyiou._exact
+        monkeypatch.setattr(polyiou, "_exact", lambda *args: firsts.append(args[2]) or exact(*args))
+        kept = polyiou.greedy_nms(boxes, 0.3)
+        first = np.concatenate(firsts)
+        assert 0 < len(first) < aabb_pairs
+        assert np.isin(first, kept).all()
 
 
 class TestAnchorStatistics:

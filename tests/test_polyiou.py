@@ -209,6 +209,9 @@ class TestIouMatrix:
         bad[0, 3] = np.nan
         with pytest.raises(ValueError):
             iou_matrix(bad, bad)
+        bad[0, 2:4] = 1e200
+        with pytest.raises(ValueError, match="overflows"):
+            iou_matrix(bad, bad)
 
     def test_scalar_keeps_zero_area_error(self):
         tiny = RotatedBox(0, 0, 1e-200, 1e-200, 0)
