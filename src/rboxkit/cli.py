@@ -132,10 +132,10 @@ def cmd_labelgen(args) -> int:
     gt_path = Path(args.gt)
     files = _gt_dir_images(gt_path) if gt_path.is_dir() else {gt_path.stem: gt_path}
     levels = _build_levels(args)
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     shrink = targets.ShrinkParams(args.sigma1, args.sigma2)
     candidates = _candidates(args)
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
     n_errors = 0
     for image_id in sorted(files):
         records, errors = formats.read_annotation_file(files[image_id], args.gt_format)
@@ -355,6 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a box such as -5,0,10,10,0 for an option, so attach each box to its flag
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[0] == "iou" and argv[k - 1] in ("--box-a", "--box-b"):
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

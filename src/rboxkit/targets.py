@@ -40,10 +40,13 @@ class LevelSpec:
     long_ratios_enabled: bool = False
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not self.k > 0:
-            raise ValueError(f"scale factor k must be positive, got {self.k}")
+        # the map-file header stores stride as u32 and k as f32
+        if not 1 <= self.stride <= 2**32 - 1:
+            raise ValueError(f"stride must lie in [1, 2**32 - 1], got {self.stride}")
+        with np.errstate(over="ignore"):
+            k32 = np.float32(self.k)
+        if not (np.isfinite(k32) and k32 > 0):
+            raise ValueError(f"scale factor k must be positive and finite as a float32, got {self.k}")
         if self.grid_w < 1 or self.grid_h < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.grid_w}x{self.grid_h}")
 
@@ -75,8 +78,8 @@ class ShapeCandidateSet:
     def __post_init__(self):
         for name in ("scales", "ratios", "long_ratios"):
             vals = getattr(self, name)
-            if any(v <= 0 for v in vals):
-                raise ValueError(f"{name} must all be positive, got {vals}")
+            if not all(math.isfinite(v) and v > 0 for v in vals):
+                raise ValueError(f"{name} must all be positive and finite, got {vals}")
 
 
 @dataclass
@@ -138,9 +141,10 @@ def shape_decode(dw: float, dh: float, level: LevelSpec) -> tuple[float, float]:
 
 def shape_encode(w: float, h: float, level: LevelSpec) -> tuple[float, float]:
     """Inverse of :func:`shape_decode`: (ln(w / ks), ln(h / ks))."""
-    if w <= 0 or h <= 0:
-        raise ValueError(f"sizes must be positive, got ({w!r}, {h!r})")
-    return math.log(w / level.base_size), math.log(h / level.base_size)
+    rw, rh = w / level.base_size, h / level.base_size
+    if not (0 < rw < math.inf and 0 < rh < math.inf):
+        raise ValueError(f"sizes must be positive and finite relative to k s, got ({w!r}, {h!r})")
+    return math.log(rw), math.log(rh)
 
 
 def cell_center(i: int, j: int, level: LevelSpec) -> Point2:
@@ -261,21 +265,22 @@ def generate_targets(
     the cell; the mean is taken in normalized space, so cells covered by
     orientations straddling the +-pi/2 wrap get a diagnostic warning (their
     linear average is not the circular one). Shape targets store the encoded
-    candidate (w, h) with the highest same-angle IoU against the owning box;
-    when two boxes claim a positive cell the higher IoU wins, earlier input
-    order on ties.
+    candidate (w, h) with the highest same-angle IoU against the owning box
+    (the first such candidate on ties), scoring each box's positive cells
+    against the level's candidates in one broadcast. When two boxes claim a
+    positive cell the higher IoU wins, earlier input order on ties.
 
     Boxes with a side under one pixel are skipped with a warning.
     """
     out = [TargetMaps.empty(lv) for lv in levels]
     any_pos = [np.zeros((lv.grid_h, lv.grid_w), dtype=bool) for lv in levels]
-    any_cov = [np.zeros((lv.grid_h, lv.grid_w), dtype=bool) for lv in levels]
     ori_sum = [np.zeros((lv.grid_h, lv.grid_w), dtype=np.float64) for lv in levels]
     ori_cnt = [np.zeros((lv.grid_h, lv.grid_w), dtype=np.int32) for lv in levels]
     ori_min = [np.full((lv.grid_h, lv.grid_w), np.inf, dtype=np.float64) for lv in levels]
     ori_max = [np.full((lv.grid_h, lv.grid_w), -np.inf, dtype=np.float64) for lv in levels]
     best_iou = [np.full((lv.grid_h, lv.grid_w), -1.0, dtype=np.float64) for lv in levels]
-    cand_cache: dict[int, np.ndarray] = {}
+    cands = [np.array(enumerate_candidates(lv, candidates)) for lv in levels]
+    encoded = [np.array([shape_encode(w, h, lv) for w, h in c]) for lv, c in zip(levels, cands)]
 
     for n, gt in enumerate(gts):
         if gt.w < 1.0 or gt.h < 1.0:
@@ -300,38 +305,29 @@ def generate_targets(
             ori_cnt[lv_idx][jj + j0, ii + i0] += 1
             np.minimum.at(ori_min[lv_idx], (jj + j0, ii + i0), theta_t)
             np.maximum.at(ori_max[lv_idx], (jj + j0, ii + i0), theta_t)
-            any_cov[lv_idx][jj + j0, ii + i0] = True
 
         jj, ii = np.nonzero(inside_core)
         if not len(jj):
             continue
         any_pos[lv_idx][jj + j0, ii + i0] = True
 
-        if lv_idx not in cand_cache:
-            cand_cache[lv_idx] = np.array(enumerate_candidates(lv, candidates))
-        cand = cand_cache[lv_idx]
-        cw, ch = cand[:, 0], cand[:, 1]
-        for cj, ci in zip(jj, ii):
-            ious = _aligned_iou(u[cj, ci], v[cj, ci], cw, ch, gt.w, gt.h)
-            k = int(np.argmax(ious))
-            gj, gi = cj + j0, ci + i0
-            if ious[k] > best_iou[lv_idx][gj, gi]:
-                best_iou[lv_idx][gj, gi] = ious[k]
-                dw, dh = shape_encode(cw[k], ch[k], lv)
-                out[lv_idx].shape_dw[gj, gi] = dw
-                out[lv_idx].shape_dh[gj, gi] = dh
+        # rows: this box's positive cells; columns: the level's candidates
+        cw, ch = cands[lv_idx][:, 0], cands[lv_idx][:, 1]
+        ious = _aligned_iou(u[jj, ii, None], v[jj, ii, None], cw, ch, gt.w, gt.h)
+        k, best = np.argmax(ious, axis=1), np.max(ious, axis=1)
+        gj, gi = jj + j0, ii + i0
+        won = best > best_iou[lv_idx][gj, gi]
+        gj, gi, k = gj[won], gi[won], k[won]
+        best_iou[lv_idx][gj, gi] = best[won]
+        out[lv_idx].shape_dw[gj, gi], out[lv_idx].shape_dh[gj, gi] = encoded[lv_idx][k].T
 
     wrap_cells = 0
-    for t, pos, cov, osum, ocnt, omin, omax in zip(
-        out, any_pos, any_cov, ori_sum, ori_cnt, ori_min, ori_max
-    ):
-        t.location[cov] = LOC_IGNORE
-        t.location[pos] = LOC_POSITIVE
+    for t, pos, osum, ocnt, omin, omax in zip(out, any_pos, ori_sum, ori_cnt, ori_min, ori_max):
         covered = ocnt > 0
+        t.location[covered] = LOC_IGNORE
+        t.location[pos] = LOC_POSITIVE
         t.orientation[covered] = (osum[covered] / ocnt[covered]).astype(np.float32)
         t.shape_valid[:] = pos
-        t.shape_dw[~pos] = 0.0
-        t.shape_dh[~pos] = 0.0
         wrap_cells += int(np.count_nonzero((ocnt >= 2) & (omax - omin > 0.5)))
     if wrap_cells:
         warnings.warn(

@@ -243,6 +243,47 @@ class TestLabelgenAndDecode:
         assert "error: stride must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--scales", "8", "nan", "32", "64"], "error: scales must all be positive and finite"),
+            (["--ratios", "1", "inf", "4"], "error: ratios must all be positive and finite"),
+            # finite, but the candidate sides overflow to inf
+            (["--scales", "8", "1e308"], "error: sizes must be positive and finite relative to k s"),
+        ],
+        ids=["scale-nan", "ratio-inf", "scale-overflow"],
+    )
+    def test_labelgen_bad_candidates_rejected(self, scene, tmp_path, capsys, flags, message):
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(
+            ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", *flags, "--output", str(out_dir)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(out_dir.glob("*.tmap"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "1e300"], "error: scale factor k"),
+            (["--k", "1e-300"], "error: scale factor k"),
+            (["--k", "inf"], "error: scale factor k"),
+            (["--strides", "4", "5000000000"], "error: stride must lie in"),
+        ],
+        ids=["k-1e300", "k-1e-300", "k-inf", "stride-5e9"],
+    )
+    def test_labelgen_level_outside_map_header_rejected(self, scene, tmp_path, capsys, flags, message):
+        # the .tmap header holds k as f32 and the stride as u32
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(
+            ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", *flags, "--output", str(out_dir)]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_labelgen_deterministic_bytes(self, scene, tmp_path, capsys):
         d1, _ = self.run_labelgen(scene, tmp_path / "a", capsys)
         d2, _ = self.run_labelgen(scene, tmp_path / "b", capsys)
@@ -416,6 +457,14 @@ class TestIouCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "exact\t1.000000" in out
+
+    def test_negative_first_coordinate(self, capsys):
+        rest = ["--samples", "20000"]
+        assert main(["iou", "--box-a=-5,0,10,10,0", "--box-b=-1,0,10,10,0", *rest]) == 0
+        attached = capsys.readouterr()
+        assert "exact\t0.428571" in attached.out
+        assert main(["iou", "--box-a", "-5,0,10,10,0", "--box-b", "-1,0,10,10,0", *rest]) == 0
+        assert capsys.readouterr() == attached
 
     def test_malformed_box_spec(self, capsys):
         rc = main(["iou", "--box-a", "1,2,3", "--box-b", "0,0,20,10,0"])

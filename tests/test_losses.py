@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rboxkit.decode import PredictionMaps, ideal_predictions
 from rboxkit.geom import RotatedBox, canonicalize_angle
 from rboxkit.losses import (
+    PROB_EPS,
     LossWeights,
     angle_loss,
     conf_loss,
@@ -15,7 +19,7 @@ from rboxkit.losses import (
     smooth_l1,
     total_loss,
 )
-from rboxkit.targets import LevelSpec, generate_targets, make_levels
+from rboxkit.targets import LevelSpec, TargetMaps, generate_targets, make_levels
 
 PI = math.pi
 
@@ -289,3 +293,66 @@ class TestMapLosses:
         )
         with pytest.raises(ValueError):
             map_losses(pred, target)
+
+
+@st.composite
+def map_pairs(draw):
+    """Random target/prediction grids with both labels, ignore cells and shape targets."""
+    gh, gw = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    lv = LevelSpec(stride=draw(st.sampled_from([4, 8, 16])), grid_w=gw, grid_h=gh)
+    unit = st.floats(0, 1, width=32)
+    location = draw(arrays(np.uint8, (gh, gw), elements=st.sampled_from([0, 1, 255])))
+    location.flat[:2] = (0, 1)
+    covered = location != 0
+    target = TargetMaps(
+        level=lv,
+        location=location,
+        orientation=np.where(covered, draw(arrays(np.float32, (gh, gw), elements=unit)), np.nan).astype(
+            np.float32
+        ),
+        shape_dw=draw(arrays(np.float32, (gh, gw), elements=st.floats(-2, 2, width=32))),
+        shape_dh=draw(arrays(np.float32, (gh, gw), elements=st.floats(-2, 2, width=32))),
+        shape_valid=(location == 1) & draw(arrays(bool, (gh, gw))),
+    )
+    pred = PredictionMaps(
+        level=lv,
+        location_prob=draw(arrays(np.float32, (gh, gw), elements=unit)),
+        orientation=draw(arrays(np.float32, (gh, gw), elements=unit)),
+        shape_dw=draw(arrays(np.float32, (gh, gw), elements=st.floats(-2, 2, width=32))),
+        shape_dh=draw(arrays(np.float32, (gh, gw), elements=st.floats(-2, 2, width=32))),
+    )
+    weights = LossWeights(
+        shape=draw(st.floats(0, 1)),
+        focal_alpha=draw(st.floats(0.05, 0.95)),
+        focal_gamma=draw(st.floats(0, 4)),
+    )
+    return pred, target, weights
+
+
+class TestMapLossesProperties:
+    @given(map_pairs())
+    def test_means_of_scalar_losses(self, case):
+        # each branch is the mean of its scalar loss over the branch's mask;
+        # 1e-12 covers summation order and libm against numpy exp/log
+        pred, target, w = case
+        loc, ang, shp = [], [], []
+        base = target.level.base_size
+        for j, i in np.ndindex(target.location.shape):
+            label = int(target.location[j, i])
+            if label != 255:
+                p = min(max(float(pred.location_prob[j, i]), PROB_EPS), 1.0 - PROB_EPS)
+                loc.append(focal_loss(label, p, w.focal_alpha, w.focal_gamma).value)
+            if label != 0:
+                t_gt = float(target.orientation[j, i])
+                ang.append(angle_loss(PI * float(pred.orientation[j, i]), PI * t_gt).value)
+            if target.shape_valid[j, i]:
+                sides = [base * math.exp(float(g[j, i])) for g in (pred.shape_dw, pred.shape_dh)]
+                gt_sides = [base * math.exp(float(g[j, i])) for g in (target.shape_dw, target.shape_dh)]
+                shp.append(shape_loss(*sides, *gt_sides).value)
+
+        out = map_losses(pred, target, w)
+        assert loc and ang
+        assert out.loc == pytest.approx(np.mean(loc), rel=1e-12)
+        assert out.angle == pytest.approx(np.mean(ang), rel=1e-12, abs=1e-15)
+        assert out.shape == pytest.approx(np.mean(shp) if shp else 0.0, rel=1e-12)
+        assert out.weighted == total_loss((0, 0, out.loc, out.angle, out.shape), w)

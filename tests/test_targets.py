@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rboxkit.geom import RotatedBox, angle_to_unit
 from rboxkit.polyiou import iou
@@ -12,6 +14,8 @@ from rboxkit.targets import (
     LevelSpec,
     ShapeCandidateSet,
     ShrinkParams,
+    _aligned_iou,
+    _cells_in_box_frame,
     assign_level,
     box_delta_decode,
     box_delta_encode,
@@ -30,6 +34,63 @@ PI = math.pi
 
 def level(stride, gw=32, gh=32, k=5.0, long_ratios=False):
     return LevelSpec(stride=stride, k=k, grid_w=gw, grid_h=gh, long_ratios_enabled=long_ratios)
+
+
+def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSet()):
+    """Reference: per level, the location grid and the shape grids from one
+    _aligned_iou call per positive cell, kept while the IoU strictly rises."""
+    shapes = [(lv.grid_h, lv.grid_w) for lv in levels]
+    cov = [np.zeros(s, bool) for s in shapes]
+    pos = [np.zeros(s, bool) for s in shapes]
+    dw = [np.zeros(s, np.float32) for s in shapes]
+    dh = [np.zeros(s, np.float32) for s in shapes]
+    best = [np.full(s, -1.0) for s in shapes]
+    for gt in gts:
+        if gt.w < 1.0 or gt.h < 1.0:
+            continue
+        n = levels.index(assign_level(gt, levels))
+        window = _cells_in_box_frame(levels[n], gt)
+        if window is None:
+            continue
+        i0, j0, u, v = window
+        jj, ii = np.nonzero((np.abs(u) < gt.w / 2.0) & (np.abs(v) < gt.h / 2.0))
+        cov[n][jj + j0, ii + i0] = True
+        core = (np.abs(u) < shrink.sigma1 * gt.w / 2.0) & (np.abs(v) < shrink.sigma2 * gt.h / 2.0)
+        cand = np.array(enumerate_candidates(levels[n], candidates))
+        cw, ch = cand[:, 0], cand[:, 1]
+        for cj, ci in zip(*np.nonzero(core)):
+            ious = _aligned_iou(u[cj, ci], v[cj, ci], cw, ch, gt.w, gt.h)
+            k = int(np.argmax(ious))
+            gj, gi = cj + j0, ci + i0
+            pos[n][gj, gi] = True
+            if ious[k] > best[n][gj, gi]:
+                best[n][gj, gi] = ious[k]
+                dw[n][gj, gi], dh[n][gj, gi] = shape_encode(cw[k], ch[k], levels[n])
+    location = [
+        np.where(p, LOC_POSITIVE, np.where(c, LOC_IGNORE, LOC_NEGATIVE)).astype(np.uint8) for c, p in zip(cov, pos)
+    ]
+    return list(zip(location, dw, dh))
+
+
+@st.composite
+def clustered_scenes(draw):
+    """1-3 clusters of boxes with exact and near-exact duplicates, some under one pixel."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        cx, cy = draw(st.floats(0, 128)), draw(st.floats(0, 128))
+        for _ in range(draw(st.integers(1, 5))):
+            b = RotatedBox.make(
+                cx + draw(st.floats(-12, 12)),
+                cy + draw(st.floats(-12, 12)),
+                draw(st.floats(0.5, 100)),
+                draw(st.floats(0.5, 40)),
+                draw(st.floats(-PI / 2, PI / 2)),
+            )
+            boxes.append(b)
+            boxes.extend([b] * draw(st.integers(0, 2)))
+            if draw(st.booleans()):
+                boxes.append(RotatedBox(b.cx + 1e-9, b.cy, b.w, b.h, b.theta))
+    return boxes
 
 
 class TestShapeCodec:
@@ -259,6 +320,43 @@ class TestGenerateTargets:
         singles = [generate_targets([g], [lv])[0] for g in (a, b)]
         pos_union = (singles[0].location == LOC_POSITIVE) | (singles[1].location == LOC_POSITIVE)
         assert np.array_equal(maps.location == LOC_POSITIVE, pos_union)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @given(clustered_scenes())
+    def test_matches_per_cell_loop(self, gts):
+        levels = make_levels(128, 128)
+        for maps, (location, dw, dh) in zip(generate_targets(gts, levels), loop_targets(gts, levels)):
+            assert maps.location.tobytes() == location.tobytes()
+            assert np.array_equal(maps.shape_valid, location == LOC_POSITIVE)
+            assert maps.shape_dw.tobytes() == dw.tobytes()
+            assert maps.shape_dh.tobytes() == dh.tobytes()
+
+    def test_shared_cell_goes_to_higher_iou_in_either_order(self):
+        # a matches the scale-8 square candidate exactly at cell (7, 7), whose
+        # center (30, 30) is a's own; b covers that cell at a lower best IoU
+        lv = level(4, gw=16, gh=16)
+        a = RotatedBox(30, 30, 32, 32, 0.0)
+        b = RotatedBox(34, 30, 40, 20, 0.3)
+        ab, = generate_targets([a, b], [lv])
+        ba, = generate_targets([b, a], [lv])
+        alone, = generate_targets([b], [lv])
+        assert alone.shape_valid[7, 7]
+        assert alone.shape_dw[7, 7] != np.float32(math.log(32 / 20))
+        for maps in (ab, ba):
+            assert maps.shape_dw[7, 7] == maps.shape_dh[7, 7] == np.float32(math.log(32 / 20))
+        assert np.array_equal(ab.shape_dw, ba.shape_dw)
+        assert np.array_equal(ab.shape_dh, ba.shape_dh)
+
+    def test_shared_cell_tie_goes_to_earlier_box(self):
+        # both boxes match a candidate exactly at their common center (30, 30):
+        # IoU 1 each, with different candidates, so input order decides
+        lv = level(4, gw=16, gh=16)
+        flat = RotatedBox(30, 30, 64, 16, 0.0)
+        square = RotatedBox(30, 30, 32, 32, 0.0)
+        for first, want in ((flat, (64, 16)), (square, (32, 32))):
+            maps, = generate_targets([first, square if first is flat else flat], [lv])
+            got = (maps.shape_dw[7, 7], maps.shape_dh[7, 7])
+            assert got == tuple(np.float32(math.log(x / 20)) for x in want)
 
     def test_tiny_box_warned_and_skipped(self):
         lv = level(4, gw=8, gh=8)
