@@ -7,7 +7,6 @@ file parsers and a CLI (``rboxkit --help``).
 
 from .decode import (
     AnchorStats,
-    DecodeParams,
     PredictionMaps,
     anchor_statistics,
     decode_anchors,
@@ -58,7 +57,6 @@ from .polyiou import (
     convex_hull,
     iou,
     iou_matrix,
-    iou_pairs,
     iou_oracle,
     min_area_rect,
     polygon_area,

@@ -36,24 +36,22 @@ def _report_parse_errors(path, errors) -> int:
     return len(errors)
 
 
-def _gt_dir_images(gt_dir: Path) -> dict[str, Path]:
-    """Map image ids to ground-truth files; a gt_ filename prefix is stripped."""
-    out = {}
-    for p in sorted(gt_dir.glob("*.txt")):
-        stem = p.stem
-        if stem.startswith("gt_"):
-            stem = stem[3:]
-        out[stem] = p
-    return out
+def _load_gt_map(gt: Path, fmt: str, include_difficult: bool):
+    """Per-image ground truth plus the total parse-error count.
 
-
-def _load_gt_map(gt_dir: Path, fmt: str, include_difficult: bool):
-    """Per-image ground truth plus the total parse-error count."""
-    if not gt_dir.is_dir():
-        raise ValueError(f"ground-truth directory {gt_dir} does not exist or is not a directory")
+    ``gt`` is a directory of ``*.txt`` files or one file. An image's id is
+    its file's stem, with a ``gt_`` prefix stripped.
+    """
+    if gt.is_dir():
+        paths = sorted(gt.glob("*.txt"))
+    elif gt.is_file():
+        paths = [gt]
+    else:
+        raise ValueError(f"ground truth {gt} is neither a directory nor a file")
+    files = {p.stem[3:] if p.stem.startswith("gt_") else p.stem: p for p in paths}
     gt_map = {}
     n_errors = 0
-    for image_id, path in _gt_dir_images(gt_dir).items():
+    for image_id, path in files.items():
         records, errors = formats.read_annotation_file(path, fmt)
         n_errors += _report_parse_errors(path, errors)
         gt_map[image_id] = formats.to_ground_truth(
@@ -100,24 +98,6 @@ def cmd_proposal_recall(args) -> int:
     return 1 if det_errors or gt_errors else 0
 
 
-def _build_levels(args) -> list[targets.LevelSpec]:
-    return targets.make_levels(
-        args.image_width,
-        args.image_height,
-        strides=tuple(args.strides),
-        k=args.k,
-        long_ratio_strides=tuple(args.long_ratio_strides),
-    )
-
-
-def _candidates(args) -> targets.ShapeCandidateSet:
-    return targets.ShapeCandidateSet(
-        scales=tuple(args.scales),
-        ratios=tuple(args.ratios),
-        long_ratios=tuple(args.long_ratios),
-    )
-
-
 def _in_bounds(box: RotatedBox, width: float, height: float) -> bool:
     pts = box_corners(box)
     return (
@@ -129,22 +109,29 @@ def _in_bounds(box: RotatedBox, width: float, height: float) -> bool:
 
 
 def cmd_labelgen(args) -> int:
-    gt_path = Path(args.gt)
-    files = _gt_dir_images(gt_path) if gt_path.is_dir() else {gt_path.stem: gt_path}
-    levels = _build_levels(args)
+    levels = targets.make_levels(
+        args.image_width,
+        args.image_height,
+        strides=tuple(args.strides),
+        k=args.k,
+        long_ratio_strides=tuple(args.long_ratio_strides),
+    )
     shrink = targets.ShrinkParams(args.sigma1, args.sigma2)
-    candidates = _candidates(args)
+    candidates = targets.ShapeCandidateSet(
+        scales=tuple(args.scales),
+        ratios=tuple(args.ratios),
+        long_ratios=tuple(args.long_ratios),
+    )
+    # difficult boxes are trained on; only don't-care regions are left out
+    gt_map, n_errors = _load_gt_map(Path(args.gt), args.gt_format, include_difficult=True)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_errors = 0
-    for image_id in sorted(files):
-        records, errors = formats.read_annotation_file(files[image_id], args.gt_format)
-        n_errors += _report_parse_errors(files[image_id], errors)
+    for image_id in sorted(gt_map):
         boxes = []
-        for rec in records:
-            if rec.dont_care:
+        for item in gt_map[image_id]:
+            if item.dont_care:
                 continue
-            b = rec.to_rotated_box()
+            b = item.box
             if not _in_bounds(b, args.image_width, args.image_height):
                 _note(f"warning: {image_id}: box at ({b.cx:.0f}, {b.cy:.0f}) out of bounds, skipped")
                 continue
@@ -181,7 +168,6 @@ def cmd_decode(args) -> int:
         image_id = path.name.split(".")[0]
         by_image.setdefault(image_id, []).append(_sniff_maps(path))
 
-    params = dec.DecodeParams(t_a=args.t_a)
     records = []
     total_cells = 0
     all_props = []
@@ -190,7 +176,7 @@ def cmd_decode(args) -> int:
         proposals = []
         for maps in maps_list:
             total_cells += maps.level.grid_w * maps.level.grid_h
-            proposals.extend(dec.decode_anchors(maps, params))
+            proposals.extend(dec.decode_anchors(maps, args.t_a))
         proposals.sort(key=lambda p: -p.score)
         if not args.no_nms:
             proposals = dec.polygon_nms(proposals, args.nms_iou)
@@ -279,14 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_gt_flags(p):
+    def add_gt_flags(p, difficult_flag=True):
         p.add_argument("--gt", required=True, help="ground-truth directory (or file)")
         p.add_argument("--gt-format", required=True, choices=formats.GT_FORMATS)
-        p.add_argument(
-            "--include-difficult",
-            action="store_true",
-            help="score difficult boxes instead of treating them as don't-care",
-        )
+        if difficult_flag:
+            p.add_argument(
+                "--include-difficult",
+                action="store_true",
+                help="score difficult boxes instead of treating them as don't-care",
+            )
 
     def add_level_flags(p):
         p.add_argument("--image-width", type=int, default=1333)
@@ -315,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_proposal_recall)
 
     p = sub.add_parser("labelgen", help="write per-level target maps for ground truth")
-    add_gt_flags(p)
+    add_gt_flags(p, difficult_flag=False)
     add_level_flags(p)
     p.add_argument("--sigma1", type=float, default=0.4)
     p.add_argument("--sigma2", type=float, default=0.5)

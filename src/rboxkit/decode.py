@@ -2,7 +2,8 @@
 
 Prediction maps mirror the target-map grids: a probability per cell plus
 normalized orientation and the two log-size shape offsets. Decoding turns
-every sufficiently confident cell into one rotated-box proposal.
+every cell whose probability exceeds one threshold t_a into one
+rotated-box proposal; polygon NMS then thins the proposals.
 """
 
 from __future__ import annotations
@@ -26,17 +27,6 @@ from .targets import (
 
 PREDICTION_MAGIC = b"PMAP"
 _PREDICTION_DTYPES = ("<f4",) * 4
-
-
-@dataclass(frozen=True)
-class DecodeParams:
-    """Decoding knobs: the activation threshold t_a."""
-
-    t_a: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 <= self.t_a <= 1.0:
-            raise ValueError(f"t_a must lie in [0, 1], got {self.t_a}")
 
 
 @dataclass
@@ -78,15 +68,17 @@ def ideal_predictions(target: TargetMaps) -> PredictionMaps:
     )
 
 
-def decode_anchors(maps: PredictionMaps, params: DecodeParams = DecodeParams()) -> list[Proposal]:
-    """One proposal per cell whose probability strictly exceeds t_a.
+def decode_anchors(maps: PredictionMaps, t_a: float = 0.05) -> list[Proposal]:
+    """One proposal per cell whose probability strictly exceeds the activation threshold t_a.
 
-    The box center is the cell center, the angle comes from the orientation
+    ``t_a`` must lie in [0, 1]. The box center is the cell center, the angle comes from the orientation
     map, the sides from the shape map. Output is sorted by score descending
     with ties in (i, j) cell order.
     """
+    if not 0.0 <= t_a <= 1.0:
+        raise ValueError(f"t_a must lie in [0, 1], got {t_a}")
     lv = maps.level
-    active = maps.location_prob > params.t_a
+    active = maps.location_prob > t_a
     proposals = []
     # transpose so ties come out ordered by i, then j
     for i, j in np.argwhere(active.T):

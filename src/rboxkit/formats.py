@@ -166,12 +166,6 @@ def parse_icdar13(line: str, lineno: int = 0) -> AnnotationRecord:
 _PARSERS = {"icdar13": parse_icdar13, "icdar15": parse_icdar15, "msra": parse_msra}
 
 
-def parse_annotation_line(line: str, fmt: str, lineno: int = 0) -> AnnotationRecord:
-    if fmt not in _PARSERS:
-        raise ValueError(f"unknown ground-truth format {fmt!r}, expected one of {GT_FORMATS}")
-    return _PARSERS[fmt](line, lineno)
-
-
 def format_icdar15_line(rec: AnnotationRecord) -> str:
     if isinstance(rec.geometry, Quad):
         quad = rec.geometry
@@ -202,7 +196,10 @@ def format_icdar13_line(rec: AnnotationRecord) -> str:
 
 
 def read_annotation_file(path, fmt: str) -> tuple[list[AnnotationRecord], list[ParseError]]:
-    """Parse a whole file; malformed lines are collected, not fatal."""
+    """Parse a whole file in one of :data:`GT_FORMATS`; malformed lines are collected, not fatal."""
+    if fmt not in _PARSERS:
+        raise ValueError(f"unknown ground-truth format {fmt!r}, expected one of {GT_FORMATS}")
+    parse = _PARSERS[fmt]
     records: list[AnnotationRecord] = []
     errors: list[ParseError] = []
     with open(path, encoding="utf-8-sig", errors="replace", newline=None) as fh:
@@ -211,7 +208,7 @@ def read_annotation_file(path, fmt: str) -> tuple[list[AnnotationRecord], list[P
             if not line:
                 continue
             try:
-                records.append(parse_annotation_line(line, fmt, lineno))
+                records.append(parse(line, lineno))
             except ParseError as e:
                 errors.append(e)
     return records, errors

@@ -4,13 +4,13 @@ Polygons are (n, 2) float arrays of vertices in counter-clockwise order
 (positive shoelace area). Box-box intersections produce at most 8
 vertices once near-duplicates are merged.
 
-:func:`iou_pairs` is the one rotated-IoU kernel: it works on (N, 5) box
-arrays and lists the pairs that can overlap; :func:`iou_matrix` is its
-dense form and scalar :func:`iou` the 1x1 case. :func:`greedy_nms` runs
+:func:`iou_matrix` is the one rotated-IoU kernel: it works on (N, 5) box
+arrays, lists the pairs whose bounding boxes meet and computes only those
+exactly; scalar :func:`iou` is its 1x1 case. :func:`greedy_nms` runs
 greedy suppression on the same exact stage, over only the pairs that
-greedy reads. :func:`clip_convex`
-(Sutherland-Hodgman) and :func:`iou_oracle` (Monte Carlo) stay as the
-independent references it is tested against.
+greedy reads. :func:`clip_convex` (Sutherland-Hodgman) and
+:func:`iou_oracle` (Monte Carlo) stay as the independent references it is
+tested against.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ _BLOCK = 1024
 # inclusive slack of the exact stage's tests: on the edge parameters of a
 # crossing, and (scaled by the box's area) on the inside tests
 _REL_TOL = 1e-10
+# largest |cx|, |cy|, w or h the exact stage takes: products of two such
+# values in its edge cross products stay finite
+_MAX_PARAM = 1e150
 
 
 def polygon_area(vertices) -> float:
@@ -35,8 +38,7 @@ def polygon_area(vertices) -> float:
     pts = np.asarray(vertices, dtype=np.float64)
     if pts.ndim != 2 or len(pts) < 3:
         return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))) / 2.0
+    return abs(_signed_area2(pts)) / 2.0
 
 
 def _signed_area2(pts: np.ndarray) -> float:
@@ -109,43 +111,22 @@ def iou_matrix(a, b) -> np.ndarray:
     """Exact IoU of every box in ``a`` against every box in ``b``.
 
     ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta)
-    rows; the result is an (N, M) float64 matrix, filled from
-    :func:`iou_pairs`. ``iou_matrix(b, a)`` is bit-for-bit the transpose of
-    ``iou_matrix(a, b)``, and identical boxes read exactly 1.
+    rows; the result is an (N, M) float64 matrix. Only the pairs whose
+    axis-aligned bounding boxes meet go through the exact stage, in blocks
+    of ``_BLOCK``, so memory stays bounded by the pair list and one block;
+    every other entry is 0. Each pair is ordered by its (cx, cy, w, h,
+    theta) tuples before any arithmetic, so ``iou_matrix(b, a)`` is
+    bit-for-bit the transpose of ``iou_matrix(a, b)``, and identical boxes
+    read exactly 1.
     """
-    i, j, v = iou_pairs(a, b)
+    a, b = _rows(a), _rows(b)
+    # a's rows, then b's, which start at row len(a)
+    table = _table(np.concatenate([a, b]))
+    i, j = _aabb_pairs(table[: len(a)], table[len(a) :], upper=False)
     out = np.zeros((len(a), len(b)), dtype=np.float64)
-    out[i, j] = v
-    if b is a:
-        out[j, i] = v
-        np.fill_diagonal(out, 1.0)
+    if len(i):
+        out[i, j] = _exact(table, _tuple_rank(table[:, :5]), i, j + len(a))
     return out
-
-
-def iou_pairs(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """IoU of the pairs of ``a`` x ``b`` that can overlap: the sparse form of :func:`iou_matrix`.
-
-    Returns index arrays ``i``, ``j`` and the IoU of each pair ``(a[i], b[j])``
-    whose axis-aligned bounding boxes meet, in row-major order; every other
-    pair has IoU 0. When ``b`` is ``a`` (the same object), each unordered
-    pair is listed once, with i < j, and the unit diagonal is left out.
-
-    The pairs go through the exact stage in blocks of ``_BLOCK``, so memory
-    stays bounded by the pair list and one block. Each pair is ordered by
-    its (cx, cy, w, h, theta) tuples before any arithmetic, so a pair's
-    IoU does not depend on its argument order or on its position in a
-    block; identical boxes read exactly 1.
-    """
-    same = b is a
-    a = _rows(a)
-    b = a if same else _rows(b)
-    # a's rows, then b's (once when b is a); b's start at row off
-    table = _table(a if same else np.concatenate([a, b]))
-    off = len(table) - len(b)
-    ii, jj = _aabb_pairs(table[: len(a)], table[off:], upper=same)
-    if not len(ii):
-        return ii, jj, np.empty(0, dtype=np.float64)
-    return ii, jj, _exact(table, _tuple_rank(table[:, :5]), ii, jj + off)
 
 
 def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
@@ -158,7 +139,7 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
     (the first undecided row always is, and no two rows kept in one round
     are partners), then computes the exact IoU of each pair (newly kept
     row, undecided later partner) only, and suppresses the partners above
-    the threshold. Every IoU it computes equals the one :func:`iou_pairs`
+    the threshold. Every IoU it computes equals the one :func:`iou_matrix`
     gives, so the result is that of the sequential greedy pass over all pairs.
     """
     table = _table(_rows(boxes))
@@ -224,6 +205,8 @@ def _table(arr: np.ndarray) -> np.ndarray:
         raise ValueError("zero-area box passed to iou")
     if not np.isfinite(t[:, _AREA]).all():
         raise ValueError("box area w * h overflows to infinity")
+    if (np.abs(arr[:, :4]) > _MAX_PARAM).any():
+        raise ValueError(f"box centre and sides must not exceed {_MAX_PARAM:g} in magnitude")
     t[:, _TOL] = _REL_TOL * t[:, _AREA]
     cs = np.array([(math.cos(v), math.sin(v)) for v in arr[:, 4].tolist()]).reshape(-1, 2, 1)
     c, s = cs[:, 0], cs[:, 1]

@@ -273,11 +273,11 @@ def generate_targets(
     Boxes with a side under one pixel are skipped with a warning.
     """
     out = [TargetMaps.empty(lv) for lv in levels]
-    any_pos = [np.zeros((lv.grid_h, lv.grid_w), dtype=bool) for lv in levels]
     ori_sum = [np.zeros((lv.grid_h, lv.grid_w), dtype=np.float64) for lv in levels]
     ori_cnt = [np.zeros((lv.grid_h, lv.grid_w), dtype=np.int32) for lv in levels]
     ori_min = [np.full((lv.grid_h, lv.grid_w), np.inf, dtype=np.float64) for lv in levels]
     ori_max = [np.full((lv.grid_h, lv.grid_w), -np.inf, dtype=np.float64) for lv in levels]
+    # the owner's candidate IoU (>= 0) on positive cells, -1 elsewhere
     best_iou = [np.full((lv.grid_h, lv.grid_w), -1.0, dtype=np.float64) for lv in levels]
     cands = [np.array(enumerate_candidates(lv, candidates)) for lv in levels]
     encoded = [np.array([shape_encode(w, h, lv) for w, h in c]) for lv, c in zip(levels, cands)]
@@ -309,7 +309,6 @@ def generate_targets(
         jj, ii = np.nonzero(inside_core)
         if not len(jj):
             continue
-        any_pos[lv_idx][jj + j0, ii + i0] = True
 
         # rows: this box's positive cells; columns: the level's candidates
         cw, ch = cands[lv_idx][:, 0], cands[lv_idx][:, 1]
@@ -322,7 +321,8 @@ def generate_targets(
         out[lv_idx].shape_dw[gj, gi], out[lv_idx].shape_dh[gj, gi] = encoded[lv_idx][k].T
 
     wrap_cells = 0
-    for t, pos, osum, ocnt, omin, omax in zip(out, any_pos, ori_sum, ori_cnt, ori_min, ori_max):
+    for t, best, osum, ocnt, omin, omax in zip(out, best_iou, ori_sum, ori_cnt, ori_min, ori_max):
+        pos = best >= 0.0
         covered = ocnt > 0
         t.location[covered] = LOC_IGNORE
         t.location[pos] = LOC_POSITIVE

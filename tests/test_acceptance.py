@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rboxkit.decode import DecodeParams, decode_anchors, ideal_predictions
+from rboxkit.decode import decode_anchors, ideal_predictions
 from rboxkit.evalkit import AVG_THRESHOLDS, GroundTruthItem, proposal_recall
 from rboxkit.formats import (
     GeometryError,
@@ -241,7 +241,6 @@ def test_criterion_05_label_decode_round_trip():
     """Ideal maps decoded at t_a = 0.05 recover at least 99% of boxes at IoU 0.5."""
     rng = np.random.default_rng(1005)
     levels = make_levels(ROUND_TRIP_IMAGE, ROUND_TRIP_IMAGE)
-    params = DecodeParams(t_a=0.05)
     total = 0
     recovered = 0
     unattributable = []
@@ -250,7 +249,7 @@ def test_criterion_05_label_decode_round_trip():
         maps = generate_targets(gts, levels, ShrinkParams(0.4, 0.5), ROUND_TRIP_CANDIDATES)
         proposals = []
         for m in maps:
-            proposals.extend(decode_anchors(ideal_predictions(m), params))
+            proposals.extend(decode_anchors(ideal_predictions(m), t_a=0.05))
         # one matrix per scene; its entries equal scalar iou bit for bit
         ious = iou_matrix(box_array(p.box for p in proposals), box_array(gts))
         for k, gt in enumerate(gts):

@@ -157,6 +157,26 @@ class TestEvaluate:
         assert captured.out == ""
 
 
+class TestSingleGtFile:
+    @pytest.mark.parametrize(
+        "command, det_flag", [("evaluate", "--detections"), ("proposal-recall", "--proposals")]
+    )
+    def test_file_prints_what_its_directory_prints(self, scene, capsys, command, det_flag):
+        tmp, gt_dir, det_file, _ = scene
+        one_dir = tmp / "one"
+        one_dir.mkdir()
+        (one_dir / "gt_img_1.txt").write_bytes((gt_dir / "gt_img_1.txt").read_bytes())
+        runs = []
+        for gt in (one_dir / "gt_img_1.txt", one_dir):
+            out_file = tmp / f"{gt.name}.tsv"
+            argv = [command, det_flag, str(det_file), "--gt", str(gt), "--gt-format", "icdar15"]
+            rc = main([*argv, "--output", str(out_file)])
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err, out_file.read_text()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+
 class TestProposalRecall:
     def test_missing_gt_dir_rejected(self, scene, capsys):
         tmp, _, det_file, _ = scene
@@ -283,6 +303,38 @@ class TestLabelgenAndDecode:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_labelgen_missing_gt_rejected(self, scene, tmp_path, capsys):
+        out_dir = tmp_path / "maps"
+        missing = tmp_path / "nogt"
+        rc = main(["labelgen", "--gt", str(missing), "--gt-format", "icdar15", "--output", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and str(missing) in err
+        assert not out_dir.exists()
+
+    def test_labelgen_has_no_include_difficult_flag(self, scene, tmp_path, capsys):
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        argv = ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", "--output", str(out_dir)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--include-difficult"])
+        assert exc.value.code == 2
+        assert "--include-difficult" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_labelgen_single_file_strips_gt_prefix(self, scene, tmp_path, capsys):
+        _, gt_dir, _, _ = scene
+        whole, _ = self.run_labelgen(scene, tmp_path / "whole", capsys)
+        out_dir = tmp_path / "single"
+        argv = ["labelgen", "--gt", str(gt_dir / "gt_img_1.txt"), "--gt-format", "icdar15"]
+        rc = main([*argv, "--image-width", "512", "--image-height", "384", "--output", str(out_dir)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("img_1\t")
+        written = sorted(p.name for p in out_dir.glob("*.tmap"))
+        assert written == sorted(p.name for p in whole.glob("img_1.*.tmap"))
+        for name in written:
+            assert (out_dir / name).read_bytes() == (whole / name).read_bytes()
 
     def test_labelgen_deterministic_bytes(self, scene, tmp_path, capsys):
         d1, _ = self.run_labelgen(scene, tmp_path / "a", capsys)
@@ -431,6 +483,16 @@ class TestNms:
         assert "overflows" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_sides_beyond_kernel_range_rejected(self, tmp_path, capsys):
+        # both boxes were kept, because their IoU read 0.0
+        det_file = tmp_path / "in.txt"
+        det_file.write_text("img 0 0 1e160 1e100 0.3 0.9\nimg 1 0 1e160 1e100 0.3 0.8\n")
+        out_file = tmp_path / "out.txt"
+        rc = main(["nms", "--detections", str(det_file), "--output", str(out_file)])
+        assert rc == 2
+        assert "error: box centre and sides must not exceed" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_threshold_checked_on_empty_file(self, tmp_path, capsys):
         det_file = tmp_path / "empty.txt"
         det_file.write_text("")
@@ -477,6 +539,14 @@ class TestIouCommand:
         captured = capsys.readouterr()
         assert "error: box area" in captured.err
         assert "nan" not in captured.out
+
+    def test_sides_beyond_kernel_range_rejected(self, capsys):
+        # the edge cross products of this pair overflowed, so it read 0.0 and exited 0
+        rc = main(["iou", "--box-a", "0,0,1e160,1e100,0.3", "--box-b", "1,0,1e160,1e100,0.3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: box centre and sides must not exceed 1e+150" in captured.err
+        assert captured.out == ""
 
 
 class TestParserReuse:

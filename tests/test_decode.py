@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rboxkit import polyiou
 from rboxkit.decode import (
     AnchorStats,
-    DecodeParams,
     PredictionMaps,
     Proposal,
     anchor_statistics,
@@ -52,7 +51,7 @@ class TestDecodeAnchors:
         maps = blank_maps(level())
         maps.location_prob[4, 3] = 0.9
         maps.orientation[4, 3] = 0.75
-        out = decode_anchors(maps, DecodeParams(t_a=0.05))
+        out = decode_anchors(maps, t_a=0.05)
         assert len(out) == 1
         p = out[0]
         assert (p.box.cx, p.box.cy) == (14.0, 18.0)
@@ -64,13 +63,13 @@ class TestDecodeAnchors:
     def test_threshold_one_blocks_everything(self):
         maps = blank_maps(level())
         maps.location_prob[:] = 1.0
-        assert decode_anchors(maps, DecodeParams(t_a=1.0)) == []
+        assert decode_anchors(maps, t_a=1.0) == []
 
     def test_threshold_is_strict(self):
         maps = blank_maps(level())
         maps.location_prob[0, 0] = 0.05
         maps.location_prob[0, 1] = 0.06
-        out = decode_anchors(maps, DecodeParams(t_a=0.05))
+        out = decode_anchors(maps, t_a=0.05)
         assert len(out) == 1
         assert out[0].box.cx == 6.0
 
@@ -79,17 +78,17 @@ class TestDecodeAnchors:
         maps.location_prob[0, 0] = 0.3
         maps.location_prob[1, 1] = 0.9
         maps.location_prob[2, 2] = 0.6
-        out = decode_anchors(maps, DecodeParams(t_a=0.1))
+        out = decode_anchors(maps, t_a=0.1)
         assert [p.score for p in out] == pytest.approx([0.9, 0.6, 0.3])
 
     def test_monotone_threshold_sets(self):
         rng = np.random.default_rng(31)
         maps = blank_maps(level(gw=16, gh=16))
         maps.location_prob[:] = rng.random((16, 16), dtype=np.float32)
-        counts = [len(decode_anchors(maps, DecodeParams(t_a=t))) for t in (0.0, 0.01, 0.05, 0.1)]
+        counts = [len(decode_anchors(maps, t_a=t)) for t in (0.0, 0.01, 0.05, 0.1)]
         assert counts == sorted(counts, reverse=True)
-        lo = {(p.box.cx, p.box.cy) for p in decode_anchors(maps, DecodeParams(t_a=0.6))}
-        hi = {(p.box.cx, p.box.cy) for p in decode_anchors(maps, DecodeParams(t_a=0.2))}
+        lo = {(p.box.cx, p.box.cy) for p in decode_anchors(maps, t_a=0.6)}
+        hi = {(p.box.cx, p.box.cy) for p in decode_anchors(maps, t_a=0.2)}
         assert lo <= hi
 
     def test_deterministic(self):
@@ -97,9 +96,14 @@ class TestDecodeAnchors:
         maps = blank_maps(level(gw=12, gh=12))
         maps.location_prob[:] = rng.random((12, 12), dtype=np.float32)
         maps.orientation[:] = rng.random((12, 12), dtype=np.float32)
-        a = decode_anchors(maps, DecodeParams(t_a=0.5))
-        b = decode_anchors(maps, DecodeParams(t_a=0.5))
+        a = decode_anchors(maps, t_a=0.5)
+        b = decode_anchors(maps, t_a=0.5)
         assert a == b
+
+    @pytest.mark.parametrize("t_a", [-0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, t_a):
+        with pytest.raises(ValueError, match=r"t_a must lie in \[0, 1\]"):
+            decode_anchors(blank_maps(level()), t_a=t_a)
 
 
 def loop_nms(proposals, thr):
@@ -255,7 +259,8 @@ class TestPolygonNms:
                 rng.uniform(-PI / 2, PI / 2, 120),
             ]
         )
-        aabb_pairs = len(polyiou.iou_pairs(boxes, boxes)[0])
+        table = polyiou._table(boxes)
+        aabb_pairs = len(polyiou._aabb_pairs(table, table, upper=True)[0])
         firsts = []
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: firsts.append(args[2]) or exact(*args))
@@ -329,6 +334,6 @@ class TestIdealRoundTrip:
         gt = RotatedBox(128, 128, 80, 40, 0.5)
         best = 0.0
         for target in generate_targets([gt], levels):
-            for p in decode_anchors(ideal_predictions(target), DecodeParams(t_a=0.05)):
+            for p in decode_anchors(ideal_predictions(target), t_a=0.05):
                 best = max(best, iou(p.box, gt))
         assert best >= 0.5

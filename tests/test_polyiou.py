@@ -13,7 +13,6 @@ from rboxkit.polyiou import (
     iou,
     iou_matrix,
     iou_oracle,
-    iou_pairs,
     min_area_rect,
     polygon_area,
 )
@@ -183,22 +182,6 @@ class TestIouMatrix:
         assert np.array_equal(m, iou_matrix(a, a.copy()))
         assert m[5, 9] == 1.0 and np.all(np.diag(m) == 1.0)
 
-    def test_pairs_are_the_sparse_matrix(self):
-        rng = np.random.default_rng(89)
-        a = box_array(random_box(rng) for _ in range(30))
-        b = box_array(random_box(rng) for _ in range(20))
-        i, j, v = iou_pairs(a, b)
-        dense = np.zeros((30, 20))
-        dense[i, j] = v
-        assert np.array_equal(dense, iou_matrix(a, b))
-        assert np.all(np.diff(i * 20 + j) > 0)  # row-major, no repeats
-        # one array against itself: each unordered pair once, i < j, no diagonal
-        i, j, v = iou_pairs(a, a)
-        assert np.all(i < j)
-        full = iou_matrix(a, a)
-        assert np.array_equal(v, full[i, j])
-        assert np.count_nonzero(np.triu(full, 1)) == np.count_nonzero(v)
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             iou_matrix(np.zeros((2, 4)), np.zeros((2, 5)))
@@ -212,6 +195,21 @@ class TestIouMatrix:
         bad[0, 2:4] = 1e200
         with pytest.raises(ValueError, match="overflows"):
             iou_matrix(bad, bad)
+
+    def test_rejects_params_beyond_cross_product_range(self):
+        # sides near 1e160 overflow the edge cross products, and this pair read 0.0
+        with pytest.raises(ValueError, match="must not exceed 1e"):
+            iou(RotatedBox(0, 0, 1e160, 1e100, 0.3), RotatedBox(1, 0, 1e160, 1e100, 0.3))
+        small = box_array([RotatedBox(0, 0, 2, 1, 0)])
+        for col in range(4):
+            far = small.copy()
+            far[0, col] = -2e150 if col < 2 else 2e150
+            if col == 2:
+                far[0, 3] = 1e-10  # keeps w * h finite
+            with pytest.raises(ValueError, match="must not exceed 1e"):
+                iou_matrix(far, small)
+        edge = box_array([RotatedBox(1e150, -1e150, 1e150, 1e149, 0.3)])
+        assert iou_matrix(edge, edge)[0, 0] == 1.0
 
     def test_scalar_keeps_zero_area_error(self):
         tiny = RotatedBox(0, 0, 1e-200, 1e-200, 0)
