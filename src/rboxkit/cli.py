@@ -40,7 +40,8 @@ def _load_gt_map(gt: Path, fmt: str, include_difficult: bool):
     """Per-image ground truth plus the total parse-error count.
 
     ``gt`` is a directory of ``*.txt`` files or one file. An image's id is
-    its file's stem, with a ``gt_`` prefix stripped.
+    its file's stem, with a ``gt_`` prefix stripped; two files with one id
+    are rejected.
     """
     if gt.is_dir():
         paths = sorted(gt.glob("*.txt"))
@@ -48,7 +49,14 @@ def _load_gt_map(gt: Path, fmt: str, include_difficult: bool):
         paths = [gt]
     else:
         raise ValueError(f"ground truth {gt} is neither a directory nor a file")
-    files = {p.stem[3:] if p.stem.startswith("gt_") else p.stem: p for p in paths}
+    files = {}
+    for p in paths:
+        image_id = p.stem[3:] if p.stem.startswith("gt_") else p.stem
+        if image_id in files:
+            raise ValueError(
+                f"ground truth files {files[image_id]} and {p} both give image id {image_id!r}"
+            )
+        files[image_id] = p
     gt_map = {}
     n_errors = 0
     for image_id, path in files.items():

@@ -27,6 +27,9 @@ from .targets import (
 
 PREDICTION_MAGIC = b"PMAP"
 _PREDICTION_DTYPES = ("<f4",) * 4
+# anchor_statistics histograms: log2 aspect ratio over [0, 4], angle over [-pi/2, pi/2]
+_ASPECT_BINS = 16
+_ANGLE_BINS = 18
 
 
 @dataclass
@@ -116,23 +119,14 @@ class AnchorStats:
     angle_hist: tuple
 
 
-def anchor_statistics(
-    proposals: list[Proposal],
-    cells_total: int,
-    aspect_bins: int = 16,
-    angle_bins: int = 18,
-) -> AnchorStats:
+def anchor_statistics(proposals: list[Proposal], cells_total: int) -> AnchorStats:
     """Histogram the decoded anchors' log2 aspect ratios and angles."""
-    aspect_edges = np.linspace(0.0, 4.0, aspect_bins + 1)
-    angle_edges = np.linspace(-math.pi / 2, math.pi / 2, angle_bins + 1)
-    if proposals:
-        ratios = np.array([math.log2(p.box.w / p.box.h) for p in proposals])
-        angles = np.array([p.box.theta for p in proposals])
-        a_counts, _ = np.histogram(ratios, bins=aspect_edges)
-        t_counts, _ = np.histogram(angles, bins=angle_edges)
-    else:
-        a_counts = np.zeros(aspect_bins, dtype=np.int64)
-        t_counts = np.zeros(angle_bins, dtype=np.int64)
+    aspect_edges = np.linspace(0.0, 4.0, _ASPECT_BINS + 1)
+    angle_edges = np.linspace(-math.pi / 2, math.pi / 2, _ANGLE_BINS + 1)
+    ratios = np.array([math.log2(p.box.w / p.box.h) for p in proposals])
+    angles = np.array([p.box.theta for p in proposals])
+    a_counts, _ = np.histogram(ratios, bins=aspect_edges)
+    t_counts, _ = np.histogram(angles, bins=angle_edges)
     fraction = len(proposals) / cells_total if cells_total > 0 else 0.0
     return AnchorStats(
         count=len(proposals),

@@ -197,6 +197,8 @@ def make_levels(
     long_ratio_strides=(4, 8),
 ) -> list[LevelSpec]:
     """Level specs covering an image, one grid cell per stride step."""
+    if image_w < 1 or image_h < 1:
+        raise ValueError(f"image size must be at least 1x1, got {image_w}x{image_h}")
     for s in strides:
         if s < 1:
             raise ValueError(f"stride must be >= 1, got {s}")
@@ -204,8 +206,8 @@ def make_levels(
         LevelSpec(
             stride=s,
             k=k,
-            grid_w=max(1, math.ceil(image_w / s)),
-            grid_h=max(1, math.ceil(image_h / s)),
+            grid_w=math.ceil(image_w / s),
+            grid_h=math.ceil(image_h / s),
             long_ratios_enabled=s in long_ratio_strides,
         )
         for s in strides
@@ -268,20 +270,15 @@ def generate_targets(
     candidate (w, h) with the highest same-angle IoU against the owning box
     (the first such candidate on ties), scoring each box's positive cells
     against the level's candidates in one broadcast. When two boxes claim a
-    positive cell the higher IoU wins, earlier input order on ties.
-
-    Boxes with a side under one pixel are skipped with a warning.
+    positive cell the higher IoU wins, earlier input order on ties. Only the
+    cells the boxes cover are visited, and each level is resolved once. Boxes
+    with a side under one pixel are skipped with a warning.
     """
     out = [TargetMaps.empty(lv) for lv in levels]
-    ori_sum = [np.zeros((lv.grid_h, lv.grid_w), dtype=np.float64) for lv in levels]
-    ori_cnt = [np.zeros((lv.grid_h, lv.grid_w), dtype=np.int32) for lv in levels]
-    ori_min = [np.full((lv.grid_h, lv.grid_w), np.inf, dtype=np.float64) for lv in levels]
-    ori_max = [np.full((lv.grid_h, lv.grid_w), -np.inf, dtype=np.float64) for lv in levels]
-    # the owner's candidate IoU (>= 0) on positive cells, -1 elsewhere
-    best_iou = [np.full((lv.grid_h, lv.grid_w), -1.0, dtype=np.float64) for lv in levels]
     cands = [np.array(enumerate_candidates(lv, candidates)) for lv in levels]
     encoded = [np.array([shape_encode(w, h, lv) for w, h in c]) for lv, c in zip(levels, cands)]
-
+    # per level, one entry per box in input order; cells are flat indices j * grid_w + i
+    entries = [[] for _ in levels]
     for n, gt in enumerate(gts):
         if gt.w < 1.0 or gt.h < 1.0:
             warnings.warn(f"ground truth #{n} smaller than 1px ({gt.w:.3f}x{gt.h:.3f}), skipped")
@@ -292,43 +289,36 @@ def generate_targets(
         if window is None:
             continue
         i0, j0, u, v = window
-
-        inside_full = (np.abs(u) < gt.w / 2.0) & (np.abs(v) < gt.h / 2.0)
-        inside_core = (np.abs(u) < shrink.sigma1 * gt.w / 2.0) & (
-            np.abs(v) < shrink.sigma2 * gt.h / 2.0
-        )
-        theta_t = angle_to_unit(gt.theta)
-
-        jj, ii = np.nonzero(inside_full)
-        if len(jj):
-            ori_sum[lv_idx][jj + j0, ii + i0] += theta_t
-            ori_cnt[lv_idx][jj + j0, ii + i0] += 1
-            np.minimum.at(ori_min[lv_idx], (jj + j0, ii + i0), theta_t)
-            np.maximum.at(ori_max[lv_idx], (jj + j0, ii + i0), theta_t)
-
-        jj, ii = np.nonzero(inside_core)
-        if not len(jj):
-            continue
-
+        flat = (np.arange(u.shape[0])[:, None] + j0) * lv.grid_w + np.arange(u.shape[1]) + i0
+        full = (np.abs(u) < gt.w / 2.0) & (np.abs(v) < gt.h / 2.0)
+        core = (np.abs(u) < shrink.sigma1 * gt.w / 2.0) & (np.abs(v) < shrink.sigma2 * gt.h / 2.0)
         # rows: this box's positive cells; columns: the level's candidates
-        cw, ch = cands[lv_idx][:, 0], cands[lv_idx][:, 1]
-        ious = _aligned_iou(u[jj, ii, None], v[jj, ii, None], cw, ch, gt.w, gt.h)
-        k, best = np.argmax(ious, axis=1), np.max(ious, axis=1)
-        gj, gi = jj + j0, ii + i0
-        won = best > best_iou[lv_idx][gj, gi]
-        gj, gi, k = gj[won], gi[won], k[won]
-        best_iou[lv_idx][gj, gi] = best[won]
-        out[lv_idx].shape_dw[gj, gi], out[lv_idx].shape_dh[gj, gi] = encoded[lv_idx][k].T
+        ious = _aligned_iou(u[core][:, None], v[core][:, None], *cands[lv_idx].T, gt.w, gt.h)
+        unit = np.full(np.count_nonzero(full), angle_to_unit(gt.theta))
+        entries[lv_idx].append((flat[full], unit, flat[core], ious.max(1), ious.argmax(1)))
 
     wrap_cells = 0
-    for t, best, osum, ocnt, omin, omax in zip(out, best_iou, ori_sum, ori_cnt, ori_min, ori_max):
-        pos = best >= 0.0
-        covered = ocnt > 0
-        t.location[covered] = LOC_IGNORE
-        t.location[pos] = LOC_POSITIVE
-        t.orientation[covered] = (osum[covered] / ocnt[covered]).astype(np.float32)
-        t.shape_valid[:] = pos
-        wrap_cells += int(np.count_nonzero((ocnt >= 2) & (omax - omin > 0.5)))
+    for t, level_entries, enc in zip(out, entries, encoded):
+        if not level_entries:
+            continue
+        cells, theta, pos, best, k = (np.concatenate(col) for col in zip(*level_entries))
+        uniq, inv = np.unique(cells, return_inverse=True)
+        # bincount adds in input order, so each sum is taken box by box
+        mean = np.bincount(inv, weights=theta) / np.bincount(inv)
+        lo, hi = np.full(len(uniq), np.inf), np.full(len(uniq), -np.inf)
+        np.minimum.at(lo, inv, theta)
+        np.maximum.at(hi, inv, theta)
+        wrap_cells += int(np.count_nonzero(hi - lo > 0.5))
+        np.put(t.location, uniq, LOC_IGNORE)
+        np.put(t.orientation, uniq, mean.astype(np.float32))
+        # stable: per cell the highest IoU first, the earlier box among equals
+        order = np.lexsort((-best, pos))
+        pos, first = np.unique(pos[order], return_index=True)
+        k = k[order[first]]
+        np.put(t.location, pos, LOC_POSITIVE)
+        np.put(t.shape_valid, pos, True)
+        np.put(t.shape_dw, pos, enc[k, 0])
+        np.put(t.shape_dh, pos, enc[k, 1])
     if wrap_cells:
         warnings.warn(
             f"{wrap_cells} cells are covered by orientations straddling the +-pi/2 wrap; "

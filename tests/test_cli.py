@@ -177,6 +177,34 @@ class TestSingleGtFile:
         assert runs[0][0] == 0
 
 
+class TestDuplicateImageId:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--detections", "{det}"],
+            ["proposal-recall", "--proposals", "{det}"],
+            ["labelgen", "--output", "{out}"],
+        ],
+        ids=["evaluate", "proposal-recall", "labelgen"],
+    )
+    def test_two_files_for_one_image_rejected(self, scene, capsys, argv):
+        # a.txt and gt_a.txt both name image "a"; neither may shadow the other
+        tmp, _, det_file, _ = scene
+        gt_dir = tmp / "dup"
+        gt_dir.mkdir()
+        write_gt_icdar15(gt_dir / "a.txt", [RotatedBox(30, 20, 40, 16, 0.0)])
+        write_gt_icdar15(gt_dir / "gt_a.txt", [RotatedBox(125, 115, 40, 16, 0.0)])
+        out_dir = tmp / "maps"
+        argv = [a.format(det=det_file, out=out_dir) for a in argv]
+        rc = main([*argv, "--gt", str(gt_dir), "--gt-format", "icdar15"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "'a'" in captured.err
+        assert str(gt_dir / "a.txt") in captured.err and str(gt_dir / "gt_a.txt") in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+
 class TestProposalRecall:
     def test_missing_gt_dir_rejected(self, scene, capsys):
         tmp, _, det_file, _ = scene
@@ -302,6 +330,21 @@ class TestLabelgenAndDecode:
         )
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--image-width", "0"], ["--image-width", "-5"], ["--image-height", "0"]],
+        ids=["width-0", "width-neg", "height-0"],
+    )
+    def test_labelgen_image_size_below_one_rejected(self, scene, tmp_path, capsys, flags):
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(
+            ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", *flags, "--output", str(out_dir)]
+        )
+        assert rc == 2
+        assert "error: image size must be at least 1x1" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_labelgen_missing_gt_rejected(self, scene, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,10 +38,14 @@ def level(stride, gw=32, gh=32, k=5.0, long_ratios=False):
 
 
 def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSet()):
-    """Reference: per level, the location grid and the shape grids from one
-    _aligned_iou call per positive cell, kept while the IoU strictly rises."""
+    """Reference: per level, the location grid, the orientation grid (each
+    covered cell's angle sum in box order over its count, NaN elsewhere) and
+    the shape grids from one _aligned_iou call per positive cell, kept while
+    the IoU strictly rises; plus the number of cells whose covering angles
+    span more than half the unit range."""
     shapes = [(lv.grid_h, lv.grid_w) for lv in levels]
     cov = [np.zeros(s, bool) for s in shapes]
+    angles = [{} for _ in shapes]
     pos = [np.zeros(s, bool) for s in shapes]
     dw = [np.zeros(s, np.float32) for s in shapes]
     dh = [np.zeros(s, np.float32) for s in shapes]
@@ -55,6 +60,8 @@ def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSe
         i0, j0, u, v = window
         jj, ii = np.nonzero((np.abs(u) < gt.w / 2.0) & (np.abs(v) < gt.h / 2.0))
         cov[n][jj + j0, ii + i0] = True
+        for cj, ci in zip(jj + j0, ii + i0):
+            angles[n].setdefault((cj, ci), []).append(angle_to_unit(gt.theta))
         core = (np.abs(u) < shrink.sigma1 * gt.w / 2.0) & (np.abs(v) < shrink.sigma2 * gt.h / 2.0)
         cand = np.array(enumerate_candidates(levels[n], candidates))
         cw, ch = cand[:, 0], cand[:, 1]
@@ -69,7 +76,17 @@ def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSe
     location = [
         np.where(p, LOC_POSITIVE, np.where(c, LOC_IGNORE, LOC_NEGATIVE)).astype(np.uint8) for c, p in zip(cov, pos)
     ]
-    return list(zip(location, dw, dh))
+    orientation = [np.full(s, np.nan, np.float32) for s in shapes]
+    wrap_cells = 0
+    for ori, cells in zip(orientation, angles):
+        for cell, thetas in cells.items():
+            # left to right; the builtin sum() compensates from Python 3.12 on
+            total = 0.0
+            for t in thetas:
+                total += t
+            ori[cell] = total / len(thetas)
+            wrap_cells += int(len(thetas) >= 2 and max(thetas) - min(thetas) > 0.5)
+    return list(zip(location, orientation, dw, dh)), wrap_cells
 
 
 @st.composite
@@ -321,12 +338,18 @@ class TestGenerateTargets:
         pos_union = (singles[0].location == LOC_POSITIVE) | (singles[1].location == LOC_POSITIVE)
         assert np.array_equal(maps.location == LOC_POSITIVE, pos_union)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @given(clustered_scenes())
     def test_matches_per_cell_loop(self, gts):
         levels = make_levels(128, 128)
-        for maps, (location, dw, dh) in zip(generate_targets(gts, levels), loop_targets(gts, levels)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            out = generate_targets(gts, levels)
+        want, wrap_cells = loop_targets(gts, levels)
+        counts = [int(str(w.message).split()[0]) for w in caught if "wrap" in str(w.message)]
+        assert counts == ([wrap_cells] if wrap_cells else [])
+        for maps, (location, orientation, dw, dh) in zip(out, want):
             assert maps.location.tobytes() == location.tobytes()
+            assert np.array_equal(maps.orientation, orientation, equal_nan=True)
             assert np.array_equal(maps.shape_valid, location == LOC_POSITIVE)
             assert maps.shape_dw.tobytes() == dw.tobytes()
             assert maps.shape_dh.tobytes() == dh.tobytes()
