@@ -349,16 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(arg: str) -> bool:
+    """Whether ``arg`` is a negative number, or a comma list of numbers that starts with one."""
+    if not arg.startswith("-"):
+        return False
+    try:
+        for part in arg.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes a box such as -5,0,10,10,0 for an option, so attach each box to its flag
-    for k in range(len(argv) - 1, 0, -1):
-        if argv[0] == "iou" and argv[k - 1] in ("--box-a", "--box-b"):
-            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
-    args = build_parser().parse_args(argv)
+    # argparse takes a negative value such as -1e3 or the box -5,0,10,10,0 for an
+    # option, so a leading space, which float() and int() skip, marks it as a value
+    args = build_parser().parse_args([f" {a}" if _is_negative_number(a) else a for a in argv])
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:
         _err(str(e))
         return 1
     except formats.ParseError as e:

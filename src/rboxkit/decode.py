@@ -3,7 +3,8 @@
 Prediction maps mirror the target-map grids: a probability per cell plus
 normalized orientation and the two log-size shape offsets. Decoding turns
 every cell whose probability exceeds one threshold t_a into one
-rotated-box proposal; polygon NMS then thins the proposals.
+rotated-box proposal, all cells of a level at once; polygon NMS then thins
+the proposals.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Proposal, RotatedBox, unit_to_angle
-from .polyiou import box_array, greedy_nms
+from .geom import Proposal, _canonical_rows, _proposals, _valid_rows, unit_to_angle
+from .polyiou import greedy_nms
 from .targets import (
     LOC_POSITIVE,
     LevelSpec,
     TargetMaps,
     _read_map,
     _write_map,
-    cell_center,
     shape_decode,
 )
 
@@ -76,22 +76,56 @@ def decode_anchors(maps: PredictionMaps, t_a: float = 0.05) -> list[Proposal]:
 
     ``t_a`` must lie in [0, 1]. The box center is the cell center, the angle comes from the orientation
     map, the sides from the shape map. Output is sorted by score descending
-    with ties in (i, j) cell order.
+    with ties in (i, j) cell order. All active cells are decoded at once; the
+    first cell in (i, j) order that cannot be decoded raises the ``ValueError``
+    of the scalar step it fails (``shape_decode``, ``unit_to_angle`` or the
+    box and proposal checks).
     """
     if not 0.0 <= t_a <= 1.0:
         raise ValueError(f"t_a must lie in [0, 1], got {t_a}")
     lv = maps.level
-    active = maps.location_prob > t_a
-    proposals = []
-    # transpose so ties come out ordered by i, then j
-    for i, j in np.argwhere(active.T):
-        p = cell_center(int(i), int(j), lv)
-        w, h = shape_decode(float(maps.shape_dw[j, i]), float(maps.shape_dh[j, i]), lv)
-        theta = unit_to_angle(float(maps.orientation[j, i]))
-        box = RotatedBox.make(p.x, p.y, w, h, theta)
-        proposals.append(Proposal(box=box, score=float(maps.location_prob[j, i])))
-    proposals.sort(key=lambda pr: -pr.score)
-    return proposals
+    # the transpose lists the cells by i, then j
+    i, j = np.divmod(np.flatnonzero((maps.location_prob > t_a).T), lv.grid_h)
+    dw = maps.shape_dw[j, i].astype(np.float64)
+    dh = maps.shape_dh[j, i].astype(np.float64)
+    unit = maps.orientation[j, i].astype(np.float64)
+    scores = maps.location_prob[j, i].astype(np.float64)
+    ew, eh = _exp(dw), _exp(dh)
+    finite = np.isfinite(dw) & np.isfinite(dh) & np.isfinite(ew) & np.isfinite(eh)
+    undecodable = ~(finite & (unit >= 0.0) & (unit <= 1.0))
+    with np.errstate(over="ignore"):  # an infinite side fails the box check below
+        w, h = lv.base_size * ew, lv.base_size * eh
+    centres = [(i + 0.5) * lv.stride, (j + 0.5) * lv.stride]
+    rows = _canonical_rows(np.column_stack([*centres, w, h, math.pi * (unit - 0.5)]))
+    bad = undecodable | ~_valid_rows(rows, scores)
+    if bad.any():
+        # the first bad cell raises the error of the first step it fails
+        k = int(np.argmax(bad))
+        shape_decode(float(dw[k]), float(dh[k]), lv)
+        unit_to_angle(float(unit[k]))
+        _proposals(rows[k : k + 1], scores[k : k + 1])
+    order = np.argsort(-scores, kind="stable")
+    return _proposals(rows[order], scores[order])
+
+
+def _exp(values: np.ndarray) -> np.ndarray:
+    """libm ``exp`` of each value, inf where it overflows.
+
+    ``np.exp`` may differ from libm in the last bit on SIMD builds, and the
+    decoded sides must equal those of :func:`shape_decode`.
+    """
+    values = values.tolist()
+    try:
+        return np.array(list(map(math.exp, values)), dtype=np.float64)
+    except OverflowError:
+        return np.array(list(map(_exp_or_inf, values)), dtype=np.float64)
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def polygon_nms(proposals: list[Proposal], iou_threshold: float = 0.3) -> list[Proposal]:
@@ -103,9 +137,13 @@ def polygon_nms(proposals: list[Proposal], iou_threshold: float = 0.3) -> list[P
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"nms iou threshold must lie in (0, 1), got {iou_threshold}")
-    order = sorted(range(len(proposals)), key=lambda k: -proposals[k].score)
-    kept = greedy_nms(box_array(proposals[k].box for k in order), iou_threshold)
-    return [proposals[order[r]] for r in kept.tolist()]
+    table = np.array(
+        [(p.box.cx, p.box.cy, p.box.w, p.box.h, p.box.theta, p.score) for p in proposals],
+        dtype=np.float64,
+    ).reshape(-1, 6)
+    order = np.argsort(-table[:, 5], kind="stable")
+    kept = greedy_nms(table[order, :5], iou_threshold)
+    return [proposals[k] for k in order[kept].tolist()]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,10 @@ Three annotation line formats are supported:
 
 Detection files are one line per box: ``image_id cx cy w h theta score``
 (space separated, six decimals). All readers accept LF or CRLF endings,
-skip blank lines and tolerate a UTF-8 byte-order mark.
+skip blank lines and tolerate a UTF-8 byte-order mark. The detection
+reader parses a whole file at once and sends only the lines that fail its
+array checks through the per-line parser, which reports each one; the
+writer checks every image id before it opens its file.
 """
 
 from __future__ import annotations
@@ -20,11 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import (
     GroundTruthItem,
     Proposal,
     Quad,
     RotatedBox,
+    _canonical_rows,
+    _proposals,
+    _valid_rows,
     box_corners,
     quad_to_rotated_box,
     rotated_box_to_quad,
@@ -33,6 +41,9 @@ from .geom import (
 GT_FORMATS = ("icdar13", "icdar15", "msra")
 
 DONT_CARE_SENTINEL = "###"
+
+# %-formatting writes the same text as the format spec .6f
+_DETECTION_LINE = "%s %.6f %.6f %.6f %.6f %.6f %.6f\n"
 
 
 class ParseError(ValueError):
@@ -224,44 +235,72 @@ def to_ground_truth(records, difficult_as_dont_care: bool = True) -> list[Ground
 
 
 def write_detection_file(path, records: list[tuple[str, Proposal]]) -> None:
-    """One ``image_id cx cy w h theta score`` line per proposal."""
+    """One ``image_id cx cy w h theta score`` line per proposal.
+
+    Each distinct image id is checked before the file is opened, so an id
+    with whitespace leaves no file behind.
+    """
+    for image_id in dict.fromkeys(image_id for image_id, _ in records):
+        if any(ch.isspace() for ch in image_id):
+            raise ValueError(f"image id {image_id!r} must not contain whitespace")
+    text = "".join(
+        _DETECTION_LINE % (image_id, p.box.cx, p.box.cy, p.box.w, p.box.h, p.box.theta, p.score)
+        for image_id, p in records
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for image_id, prop in records:
-            if any(ch.isspace() for ch in image_id):
-                raise ValueError(f"image id {image_id!r} must not contain whitespace")
-            b = prop.box
-            fh.write(
-                f"{image_id} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f} "
-                f"{b.theta:.6f} {prop.score:.6f}\n"
-            )
+        fh.write(text)
 
 
 def read_detection_file(path) -> tuple[list[tuple[str, Proposal]], list[ParseError]]:
-    """Inverse of :func:`write_detection_file`; failures are collected per line."""
-    records: list[tuple[str, Proposal]] = []
-    errors: list[ParseError] = []
+    """Inverse of :func:`write_detection_file`; failures are collected per line.
+
+    The whole file is split into lines and fields at once, every number is
+    converted with ``float`` and the rows are checked with array masks. Only
+    the lines that fail those checks go through :func:`_parse_detection_line`,
+    which gives each its error and line number.
+    """
     with open(path, encoding="utf-8-sig", errors="replace", newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _clean(raw)
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                errors.append(ParseError(f"expected 7 fields, found {len(parts)}", lineno))
-                continue
-            try:
-                vals = [_float_field(tok, k + 2, lineno) for k, tok in enumerate(parts[1:])]
-            except ParseError as e:
-                errors.append(e)
-                continue
-            cx, cy, w, h, theta, score = vals
-            try:
-                prop = Proposal(box=RotatedBox.make(cx, cy, w, h, theta), score=score)
-            except ValueError as e:
-                errors.append(GeometryError(str(e), lineno))
-                continue
-            records.append((parts[0], prop))
-    return records, errors
+        lines = fh.read().split("\n")
+    fields = [line.lstrip("\ufeff").split() for line in lines]
+    counts = np.fromiter(map(len, fields), dtype=np.intp, count=len(fields))
+    full = np.flatnonzero(counts == 7)
+    numbers = [tok for k in full.tolist() for tok in fields[k][1:]]
+    try:
+        values = list(map(float, numbers))
+    except ValueError:
+        values = list(map(_float_or_nan, numbers))
+    values = np.array(values, dtype=np.float64).reshape(-1, 6)
+    rows = _canonical_rows(values[:, :5])
+    ok = _valid_rows(rows, values[:, 5])
+    failed = np.concatenate([np.flatnonzero((counts != 0) & (counts != 7)), full[~ok]])
+    errors: list[ParseError] = []
+    # the masks are the per-line checks, so each of these lines raises
+    for k in np.sort(failed).tolist():
+        try:
+            _parse_detection_line(lines[k], k + 1)
+        except ParseError as e:
+            errors.append(e)
+    image_ids = [fields[k][0] for k in full[ok].tolist()]
+    return list(zip(image_ids, _proposals(rows[ok], values[ok, 5]))), errors
+
+
+def _float_or_nan(tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        return math.nan
+
+
+def _parse_detection_line(line: str, lineno: int) -> tuple[str, Proposal]:
+    """One detection line, or the :class:`ParseError` that locates its fault."""
+    parts = _clean(line).split()
+    if len(parts) != 7:
+        raise ParseError(f"expected 7 fields, found {len(parts)}", lineno)
+    cx, cy, w, h, theta, score = [_float_field(tok, k + 2, lineno) for k, tok in enumerate(parts[1:])]
+    try:
+        return parts[0], Proposal(box=RotatedBox.make(cx, cy, w, h, theta), score=score)
+    except ValueError as e:
+        raise GeometryError(str(e), lineno) from None
 
 
 def group_detections_by_image(records) -> dict[str, list[Proposal]]:

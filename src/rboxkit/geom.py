@@ -127,6 +127,63 @@ class Proposal:
             raise ValueError(f"score must be finite, got {self.score!r}")
 
 
+def _canonical_rows(rows: np.ndarray) -> np.ndarray:
+    """:meth:`RotatedBox.make` over (N, 5) rows of (cx, cy, w, h, theta), bit for bit.
+
+    ``np.fmod`` is exact like ``math.fmod``, and the other steps are single
+    IEEE operations, so each row equals the fields ``make`` would store. A
+    non-finite theta, which ``make`` rejects, comes out as NaN.
+    """
+    cx, cy, w, h, theta = np.asarray(rows, dtype=np.float64).T
+    swap = w < h
+    theta = np.where(swap, theta + HALF_PI, theta)
+    with np.errstate(invalid="ignore"):
+        t = np.fmod(theta + HALF_PI, math.pi)
+    t = np.where(t < 0.0, t + math.pi, t) - HALF_PI
+    t = np.where(t >= HALF_PI, t - math.pi, t)
+    inside = (theta >= -HALF_PI) & (theta < HALF_PI)
+    return np.column_stack([cx, cy, np.where(swap, h, w), np.where(swap, w, h), np.where(inside, theta, t)])
+
+
+def _valid_rows(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Mask of the rows that pass the :class:`RotatedBox` and :class:`Proposal` checks."""
+    _, _, w, h, theta = rows.T
+    return (
+        np.isfinite(rows).all(axis=1)
+        & np.isfinite(scores)
+        & (h > 0.0)
+        & (w >= h)
+        & (theta >= -HALF_PI)
+        & (theta < HALF_PI)
+    )
+
+
+def _proposals(rows: np.ndarray, scores: np.ndarray) -> list[Proposal]:
+    """One :class:`Proposal` per row of an (N, 5) box array and its score.
+
+    The first row that fails a check raises the constructors' own
+    ``ValueError``; the others are built without running those checks again.
+    """
+    bad = ~_valid_rows(rows, scores)
+    if bad.any():
+        k = int(np.argmax(bad))
+        Proposal(RotatedBox(*rows[k].tolist()), float(scores[k]))  # raises
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for cx, cy, w, h, theta, score in zip(*rows.T.tolist(), scores.tolist()):
+        box = new(RotatedBox)
+        put(box, "cx", cx)
+        put(box, "cy", cy)
+        put(box, "w", w)
+        put(box, "h", h)
+        put(box, "theta", theta)
+        prop = new(Proposal)
+        put(prop, "box", box)
+        put(prop, "score", score)
+        out.append(prop)
+    return out
+
+
 @dataclass(frozen=True)
 class GroundTruthItem:
     box: RotatedBox

@@ -592,6 +592,62 @@ class TestIouCommand:
         assert captured.out == ""
 
 
+class TestPathOfTheWrongKind:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["labelgen", "--gt", "{gt}", "--gt-format", "icdar15", "--output", "{file}"],
+            ["evaluate", "--detections", "{dir}", "--gt", "{gt}", "--gt-format", "icdar15"],
+            ["proposal-recall", "--proposals", "{dir}", "--gt", "{gt}", "--gt-format", "icdar15"],
+            ["nms", "--detections", "{dir}", "--output", "{out}"],
+            ["decode", "{dir}"],
+        ],
+        ids=["labelgen-output-is-file", "evaluate", "proposal-recall", "nms", "decode"],
+    )
+    def test_exits_1_with_message(self, scene, capsys, argv):
+        tmp, gt_dir, det_file, _ = scene
+        a_dir = tmp / "somedir"
+        a_dir.mkdir()
+        paths = {"gt": gt_dir, "file": det_file, "dir": a_dir, "out": tmp / "out.txt"}
+        rc = main([a.format(**paths) for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno")
+        assert "Traceback" not in err
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "-1e3"], "error: scale factor k must be positive and finite as a float32, got -1000.0"),
+            (["--scales", "8", "-1e3"], "error: scales must all be positive and finite, got (8.0, -1000.0)"),
+            (["--sigma1", "-2E-1"], "error: shrink scales must lie in (0, 1], got -0.2, 0.5"),
+        ],
+    )
+    def test_labelgen_option_checks_the_value(self, scene, tmp_path, capsys, flags, message):
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", *flags, "--output", str(out_dir)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_nms_threshold_checks_the_value(self, scene, tmp_path, capsys):
+        _, _, det_file, _ = scene
+        rc = main(["nms", "--detections", str(det_file), "--nms-iou", "-1e-1", "--output", str(tmp_path / "o.txt")])
+        assert rc == 2
+        assert "error: nms iou threshold must lie in (0, 1), got -0.1" in capsys.readouterr().err
+
+    def test_value_and_option_told_apart(self, scene, capsys):
+        _, gt_dir, det_file, _ = scene
+        gt = ["--gt", str(gt_dir), "--gt-format", "icdar15"]
+        assert main(["evaluate", "--detections", str(det_file), *gt, "--iou-thresholds", "-5e-1", "0.5"]) == 2
+        assert "error: iou threshold -0.5 outside (0, 1)" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["evaluate", "--detections", str(det_file), *gt, "-1x"])
+
+
 class TestParserReuse:
     def test_back_to_back_calls_match_fresh_processes(self, scene, capsys):
         # the parser is built once per process; a call that sets list flags

@@ -17,9 +17,9 @@ from rboxkit.decode import (
     polygon_nms,
     save_prediction_maps,
 )
-from rboxkit.geom import RotatedBox
+from rboxkit.geom import RotatedBox, unit_to_angle
 from rboxkit.polyiou import iou
-from rboxkit.targets import LevelSpec, generate_targets, make_levels
+from rboxkit.targets import LevelSpec, cell_center, generate_targets, make_levels, shape_decode
 
 PI = math.pi
 
@@ -41,6 +41,115 @@ def blank_maps(lv):
 
 def prop(cx, cy, w, h, theta, score):
     return Proposal(box=RotatedBox.make(cx, cy, w, h, theta), score=score)
+
+
+def loop_decode(maps, t_a=0.05):
+    """Reference: one cell at a time through the scalar codec and the box constructors."""
+    lv = maps.level
+    proposals = []
+    for i, j in np.argwhere((maps.location_prob > t_a).T):
+        p = cell_center(int(i), int(j), lv)
+        w, h = shape_decode(float(maps.shape_dw[j, i]), float(maps.shape_dh[j, i]), lv)
+        theta = unit_to_angle(float(maps.orientation[j, i]))
+        box = RotatedBox.make(p.x, p.y, w, h, theta)
+        proposals.append(Proposal(box=box, score=float(maps.location_prob[j, i])))
+    proposals.sort(key=lambda pr: -pr.score)
+    return proposals
+
+
+def fields(proposals):
+    """Every stored float of each proposal as its bit pattern."""
+    rows = [(p.box.cx, p.box.cy, p.box.w, p.box.h, p.box.theta, p.score) for p in proposals]
+    return np.array(rows, dtype=np.float64).reshape(-1, 6).view(np.int64).tolist()
+
+
+def random_maps(rng, lv, active=0.3):
+    """Maps with ties, w < h cells, orientations of exactly 0 and 1, and scores on a coarse grid."""
+    shape = (lv.grid_h, lv.grid_w)
+    prob = np.where(rng.random(shape) < active, rng.integers(1, 9, shape) / 8, 0.0)
+    orientation = rng.random(shape)
+    orientation[rng.random(shape) < 0.2] = 0.0
+    orientation[rng.random(shape) < 0.2] = 1.0
+    return PredictionMaps(
+        level=lv,
+        location_prob=prob.astype(np.float32),
+        orientation=orientation.astype(np.float32),
+        shape_dw=rng.normal(0.0, 1.0, shape).astype(np.float32),
+        shape_dh=rng.normal(0.0, 1.0, shape).astype(np.float32),
+    )
+
+
+def cli_order(per_level):
+    """Levels concatenated by stride and sorted by score, as ``rboxkit decode`` merges them."""
+    merged = [p for props in per_level for p in props]
+    merged.sort(key=lambda p: -p.score)
+    return merged
+
+
+class TestDecodeMatchesCellLoop:
+    def test_random_levels(self):
+        rng = np.random.default_rng(61)
+        for trial in range(20):
+            levels = [level(stride=s, gw=int(rng.integers(1, 30)), gh=int(rng.integers(1, 30))) for s in (4, 8, 16)]
+            maps = [random_maps(rng, lv) for lv in levels]
+            # t_a equal to a probability present in the maps: those cells stay off
+            t_a = float(rng.choice([0.0, 0.125, 0.5, 0.875, 1.0]))
+            got = [decode_anchors(m, t_a) for m in maps]
+            want = [loop_decode(m, t_a) for m in maps]
+            for g, w in zip(got, want):
+                assert fields(g) == fields(w)
+                assert g == w
+            assert fields(cli_order(got)) == fields(cli_order(want))
+
+    def test_w_below_h_and_orientation_bounds(self):
+        maps = blank_maps(level(gw=4, gh=1))
+        maps.location_prob[:] = 0.5
+        maps.orientation[0] = [0.0, 1.0, 0.0, 1.0]
+        maps.shape_dw[0] = [0.0, 0.0, -1.0, -1.0]
+        maps.shape_dh[0] = [1.0, 1.0, 0.0, 0.0]
+        got = decode_anchors(maps)
+        assert fields(got) == fields(loop_decode(maps))
+        assert all(p.box.w > p.box.h for p in got)
+
+    def test_dense_map(self):
+        rng = np.random.default_rng(67)
+        maps = random_maps(rng, level(gw=64, gh=48), active=1.0)
+        assert fields(decode_anchors(maps, 0.0)) == fields(loop_decode(maps, 0.0))
+
+    @pytest.mark.parametrize(
+        "grid, value, message",
+        [
+            ("shape_dw", np.nan, "shape offsets must be finite"),
+            ("shape_dh", -np.inf, "shape offsets must be finite"),
+            ("shape_dw", 1000.0, "overflow the box size"),
+            ("shape_dh", 709.0, "w must be finite, got inf"),
+            ("shape_dw", -800.0, "sides must be positive, got h=0.0"),
+            ("orientation", 1.5, "normalized orientation 1.5 outside"),
+            ("location_prob", np.inf, "score must be finite, got inf"),
+        ],
+    )
+    def test_first_bad_cell_in_cell_order_raises_its_error(self, grid, value, message):
+        # a second bad cell later in (i, j) order, of another kind, must not be the one reported
+        maps = blank_maps(level(gw=6, gh=5))
+        maps.location_prob[:] = 0.5
+        getattr(maps, grid)[3, 1] = value
+        maps.shape_dw[0, 4] = -800.0
+        maps.orientation[4, 4] = np.nan
+        with pytest.raises(ValueError) as want:
+            loop_decode(maps)
+        with pytest.raises(ValueError, match=message) as got:
+            decode_anchors(maps)
+        assert str(got.value) == str(want.value)
+
+    def test_cell_with_two_faults_raises_its_first_step(self):
+        maps = blank_maps(level(gw=3, gh=3))
+        maps.location_prob[1, 1] = np.inf
+        maps.orientation[1, 1] = 2.0
+        with pytest.raises(ValueError, match="normalized orientation 2.0 outside"):
+            decode_anchors(maps)
+        maps.shape_dh[1, 1] = 1000.0
+        with pytest.raises(ValueError, match="overflow the box size"):
+            decode_anchors(maps)
 
 
 class TestDecodeAnchors:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rboxkit.decode import Proposal
 from rboxkit.formats import (
@@ -252,6 +254,159 @@ class TestWriteRead:
         groups = group_detections_by_image(records)
         assert sorted(groups) == ["a", "b"]
         assert len(groups["b"]) == 2
+
+
+def loop_read_detection_file(path):
+    """Reference: the line-at-a-time reader with a float() call and box constructors per line."""
+    records, errors = [], []
+    with open(path, encoding="utf-8-sig", errors="replace", newline=None) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.lstrip("\ufeff").strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 7:
+                errors.append(ParseError(f"expected 7 fields, found {len(parts)}", lineno))
+                continue
+            vals = []
+            for k, tok in enumerate(parts[1:]):
+                try:
+                    v = float(tok)
+                except ValueError:
+                    errors.append(ParseError(f"field {k + 2}: {tok!r} is not a number", lineno))
+                    break
+                if not math.isfinite(v):
+                    errors.append(ParseError(f"field {k + 2}: non-finite value {tok!r}", lineno))
+                    break
+                vals.append(v)
+            if len(vals) < 6:
+                continue
+            cx, cy, w, h, theta, score = vals
+            try:
+                prop = Proposal(box=RotatedBox.make(cx, cy, w, h, theta), score=score)
+            except ValueError as e:
+                errors.append(GeometryError(str(e), lineno))
+                continue
+            records.append((parts[0], prop))
+    return records, errors
+
+
+def loop_write_detection_file(path, records):
+    """Reference: one f-string per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for image_id, prop in records:
+            b = prop.box
+            fh.write(
+                f"{image_id} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f} "
+                f"{b.theta:.6f} {prop.score:.6f}\n"
+            )
+
+
+def assert_reads_like_loop(path):
+    got, want = read_detection_file(path), loop_read_detection_file(path)
+    assert got[0] == want[0]
+    assert [(type(e), str(e), e.lineno) for e in got[1]] == [(type(e), str(e), e.lineno) for e in want[1]]
+    return got
+
+
+GOOD = "img_1 10 10 20 10 0.0 0.9"
+
+
+class TestDetectionReaderMatchesLineLoop:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n\n",
+            GOOD + "\r\n" + GOOD.replace("0.9", "0.8") + "\r\n",
+            "\ufeff" + GOOD + "\n",
+            "\ufeff\ufeff  " + GOOD + "\n\n   \n\t\n" + GOOD,
+            GOOD + "\r" + GOOD + "\r\r" + GOOD,  # bare CR ends a line too
+            # form feed, U+2028 and NEL are whitespace inside a line, not line breaks
+            GOOD + " \x0c\n" + "img_2\u20281 2 3 4 0.5 0.5\n" + "img_3 1 2 3 4 0.5\x850.5\n",
+            "a nan 1 2 3 0 0.5\nb 1 inf 2 3 0 0.5\nc 1 2 -inf 3 0 0.5\nd 1 2 3 4 0 NaN\n",
+            "a 1_0 2_0 3_0 4 0 0.5\nb 1__0 2 3 4 0 0.5\nc 1 2 3 4 0 .5e0\nd 0x1 2 3 4 0 0.5\n",
+            "a 1 2 3 4 0\nb 1 2 3 4 0 0.5 extra\n" + GOOD + "\nc\n",
+            GOOD + "\na 1 2 0 4 0 0.5\nb 1 2 3 -4 0 0.5\nc 1 2 -0.0 -0.0 0 0.5\n" + GOOD + "\n",
+            "a 1 2 3 4 1e300 0.5\nb 1e308 -1e308 1e-320 5e-324 -7.5 1e-300\nc 1 2 3 4 nan nan\n",
+            "a 1 2 3 4 0 0.5\nb 1 2 3 4 0 0.5\na 1 2 4 3 1.5707963267948966 0.5\n",
+        ],
+    )
+    def test_cases(self, tmp_path, text):
+        p = tmp_path / "dets.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert_reads_like_loop(p)
+
+    def test_bad_lines_among_many_good(self, tmp_path):
+        rng = np.random.default_rng(11)
+        lines = [
+            f"img{k % 5} {x:.6f} {y:.6f} {w:.6f} {h:.6f} {t:.6f} {s:.6f}"
+            for k, (x, y, w, h, t, s) in enumerate(rng.uniform(-3.0, 300.0, (500, 6)).tolist())
+        ]
+        for k in rng.choice(500, 40, replace=False).tolist():
+            lines[k] = rng.choice(["", "x 1 2 3", "x 1 2 3 0 0 0.5", "x 1 2 nan 4 0 1", "x a 2 3 4 0 1"])
+        p = tmp_path / "dets.txt"
+        p.write_text("\r\n".join(lines))
+        records, errors = assert_reads_like_loop(p)
+        assert len(errors) > 0 and len(records) > 400
+
+    def test_invalid_utf8_replaced(self, tmp_path):
+        p = tmp_path / "dets.txt"
+        p.write_bytes(b"\xff\xfe 1 2 3 4 0 0.5\nimg 1 2 3 4 0 0.5\xff\n" + GOOD.encode())
+        assert_reads_like_loop(p)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["img", "a", "0", "1", "-1", "2.5", "1e3", "0.0", "-0.0", "nan", "inf", "1_0", "x"]
+                    + ["1.5707963267948966"]
+                ),
+                max_size=9,
+            ).map(" ".join),
+            max_size=12,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    def test_token_soup(self, tmp_path_factory, lines, newline):
+        p = tmp_path_factory.mktemp("soup") / "dets.txt"
+        p.write_bytes(newline.join(lines).encode("utf-8"))
+        assert_reads_like_loop(p)
+
+
+class TestDetectionWriterMatchesFString:
+    def test_bytes_identical(self, tmp_path):
+        rng = np.random.default_rng(13)
+        records = []
+        for k in range(300):
+            w = float(rng.uniform(0.5, 1e4))
+            cx, cy, h, theta = rng.uniform(-1e5, 1e5), rng.normal(0, 1), rng.uniform(1e-7, w), rng.uniform(-9, 9)
+            box = RotatedBox.make(float(cx), float(cy), w, float(h), float(theta))
+            records.append((f"img_{k % 7}", Proposal(box=box, score=float(rng.random()))))
+        records.append(("edge", Proposal(box=RotatedBox(-0.0, 1e300, 1e300, 5e-324, -PI / 2), score=-0.0)))
+        records.append(("half", Proposal(box=RotatedBox(0.0000005, 2.5e-7, 1.0000005, 0.0000015, 0.0), score=1.5)))
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        write_detection_file(got, records)
+        loop_write_detection_file(want, records)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_empty(self, tmp_path):
+        p = tmp_path / "dets.txt"
+        write_detection_file(p, [])
+        assert p.read_bytes() == b""
+
+    @pytest.mark.parametrize("bad_id", ["img 1", "img\t1", "img\u20281"])
+    def test_whitespace_id_writes_nothing(self, tmp_path, bad_id):
+        good = Proposal(box=RotatedBox(10, 10, 20, 10, 0.0), score=0.9)
+        p = tmp_path / "dets.txt"
+        with pytest.raises(ValueError, match="must not contain whitespace"):
+            write_detection_file(p, [("ok", good), (bad_id, good)])
+        assert not p.exists()
+        p.write_text("kept\n")
+        with pytest.raises(ValueError) as e:
+            write_detection_file(p, [("ok", good), (bad_id, good), ("b 2", good)])
+        assert str(e.value) == f"image id {bad_id!r} must not contain whitespace"
+        assert p.read_text() == "kept\n"
 
 
 class TestToGroundTruth:

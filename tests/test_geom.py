@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rboxkit.geom import (
     AugmentTransform,
     Point2,
+    Proposal,
     Quad,
     RotatedBox,
+    _canonical_rows,
+    _proposals,
     angle_distance,
     angle_to_unit,
     apply_rotation,
@@ -114,6 +119,61 @@ class TestTypes:
             AugmentTransform(0, 10, 0.0)
         with pytest.raises(ValueError):
             AugmentTransform(10, 10, 2.0)
+
+
+def bits(values):
+    """Float64 bit patterns, so -0.0 and 0.0 (or two NaNs) compare as stored."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+# angles at and near the canonical bounds, far outside them, and ordinary ones
+angles = st.one_of(
+    st.sampled_from([-PI / 2, PI / 2, -PI, PI, 3 * PI / 2, -3 * PI / 2, 0.0, -0.0]),
+    st.sampled_from([-PI / 2, PI / 2]).map(lambda t: math.nextafter(t, 0.0)),
+    st.sampled_from([-PI / 2, PI / 2]).map(lambda t: math.nextafter(t, 2 * t)),
+    st.floats(-1e300, 1e300),
+    st.floats(-10.0, 10.0),
+)
+sides = st.floats(1e-300, 1e300)
+finite = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def make_args(draw):
+    """(cx, cy, w, h, theta) as RotatedBox.make takes them, with w == h drawn often."""
+    w = draw(sides)
+    h = w if draw(st.booleans()) else draw(sides)
+    return (draw(finite), draw(finite), w, h, draw(angles))
+
+
+# any float, with the values the box and proposal checks turn on drawn often
+any_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, -PI / 2, PI / 2, math.inf, -math.inf, math.nan]),
+)
+
+
+class TestRowHelpers:
+    @given(st.lists(make_args(), min_size=1, max_size=8))
+    def test_canonical_rows_equal_make_bit_for_bit(self, args):
+        rows = _canonical_rows(np.array(args, dtype=np.float64))
+        made = [RotatedBox.make(*a) for a in args]
+        assert bits(rows) == bits([(b.cx, b.cy, b.w, b.h, b.theta) for b in made])
+
+    @given(st.lists(st.tuples(*[any_value] * 6), max_size=6))
+    def test_builder_raises_exactly_when_constructors_raise(self, values):
+        rows = np.array([v[:5] for v in values], dtype=np.float64).reshape(-1, 5)
+        scores = np.array([v[5] for v in values], dtype=np.float64)
+        try:
+            want = [Proposal(RotatedBox(*v[:5]), v[5]) for v in values]
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                _proposals(rows, scores)
+            assert str(got.value) == str(e)
+        else:
+            got = _proposals(rows, scores)
+            assert got == want
+            assert [type(p.box.cx) for p in got] == [float] * len(got)
 
 
 class TestQuadToRotatedBox:
