@@ -160,11 +160,11 @@ def cmd_labelgen(args) -> int:
 
 
 def _sniff_maps(path: Path) -> dec.PredictionMaps:
-    with path.open("rb") as fh:
-        magic = fh.read(4)
-    if magic == targets.TARGET_MAGIC:
-        return dec.ideal_predictions(targets.load_target_maps(path))
-    return dec.load_prediction_maps(path)
+    """A ``.pmap`` file, or the ideal predictions of a ``.tmap`` one; the file is read once."""
+    data = path.read_bytes()
+    if data[:4] == targets.TARGET_MAGIC:
+        return dec.ideal_predictions(targets.load_target_maps(data))
+    return dec.load_prediction_maps(data)
 
 
 def cmd_decode(args) -> int:
@@ -261,6 +261,21 @@ def cmd_convert(args) -> int:
     return 1 if errors else 0
 
 
+def _number(kind):
+    """The argparse type for ``kind``; its error omits the space :func:`main` puts before a negative value."""
+
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text.strip()!r}") from None
+
+    return convert
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one argument parser, built on first use.
@@ -284,59 +299,59 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     def add_level_flags(p):
-        p.add_argument("--image-width", type=int, default=1333)
-        p.add_argument("--image-height", type=int, default=800)
-        p.add_argument("--strides", type=int, nargs="+", default=DEFAULT_STRIDES)
-        p.add_argument("--k", type=float, default=5.0)
-        p.add_argument("--scales", type=float, nargs="+", default=(8, 16, 32, 64))
-        p.add_argument("--ratios", type=float, nargs="+", default=(1, 2, 4))
-        p.add_argument("--long-ratios", type=float, nargs="+", default=(3, 5, 7))
+        p.add_argument("--image-width", type=_INT, default=1333)
+        p.add_argument("--image-height", type=_INT, default=800)
+        p.add_argument("--strides", type=_INT, nargs="+", default=DEFAULT_STRIDES)
+        p.add_argument("--k", type=_FLOAT, default=5.0)
+        p.add_argument("--scales", type=_FLOAT, nargs="+", default=(8, 16, 32, 64))
+        p.add_argument("--ratios", type=_FLOAT, nargs="+", default=(1, 2, 4))
+        p.add_argument("--long-ratios", type=_FLOAT, nargs="+", default=(3, 5, 7))
         p.add_argument(
-            "--long-ratio-strides", type=int, nargs="+", default=DEFAULT_LONG_RATIO_STRIDES
+            "--long-ratio-strides", type=_INT, nargs="+", default=DEFAULT_LONG_RATIO_STRIDES
         )
 
     p = sub.add_parser("evaluate", help="precision/recall/F over a detection file")
     p.add_argument("--detections", required=True)
     add_gt_flags(p)
-    p.add_argument("--iou-thresholds", type=float, nargs="+", default=(0.5,))
+    p.add_argument("--iou-thresholds", type=_FLOAT, nargs="+", default=(0.5,))
     p.add_argument("--output", help="machine-readable metric file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("proposal-recall", help="TR at top-N proposals per image")
     p.add_argument("--proposals", required=True)
     add_gt_flags(p)
-    p.add_argument("--top-n", type=int, nargs="+", default=(50, 100, 300))
+    p.add_argument("--top-n", type=_INT, nargs="+", default=(50, 100, 300))
     p.add_argument("--output", help="machine-readable metric file")
     p.set_defaults(func=cmd_proposal_recall)
 
     p = sub.add_parser("labelgen", help="write per-level target maps for ground truth")
     add_gt_flags(p, difficult_flag=False)
     add_level_flags(p)
-    p.add_argument("--sigma1", type=float, default=0.4)
-    p.add_argument("--sigma2", type=float, default=0.5)
+    p.add_argument("--sigma1", type=_FLOAT, default=0.4)
+    p.add_argument("--sigma2", type=_FLOAT, default=0.5)
     p.add_argument("--output", required=True, help="output directory for .tmap files")
     p.set_defaults(func=cmd_labelgen)
 
     p = sub.add_parser("decode", help="decode maps into a detection file")
     p.add_argument("maps", nargs="+", help=".pmap/.tmap files named <image>.s<stride>.*")
-    p.add_argument("--t-a", type=float, default=0.05)
-    p.add_argument("--top-n", type=int, default=None)
-    p.add_argument("--nms-iou", type=float, default=0.3)
+    p.add_argument("--t-a", type=_FLOAT, default=0.05)
+    p.add_argument("--top-n", type=_INT, default=None)
+    p.add_argument("--nms-iou", type=_FLOAT, default=0.3)
     p.add_argument("--no-nms", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("nms", help="suppress a detection file per image")
     p.add_argument("--detections", required=True)
-    p.add_argument("--nms-iou", type=float, default=0.3)
+    p.add_argument("--nms-iou", type=_FLOAT, default=0.3)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_nms)
 
     p = sub.add_parser("iou", help="exact and sampled IoU of two inline boxes")
     p.add_argument("--box-a", required=True, help="cx,cy,w,h,theta")
     p.add_argument("--box-b", required=True, help="cx,cy,w,h,theta")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_INT, default=1_000_000)
+    p.add_argument("--seed", type=_INT, default=0)
     p.set_defaults(func=cmd_iou)
 
     p = sub.add_parser("convert", help="rewrite annotations between formats")

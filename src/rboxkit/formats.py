@@ -237,10 +237,13 @@ def to_ground_truth(records, difficult_as_dont_care: bool = True) -> list[Ground
 def write_detection_file(path, records: list[tuple[str, Proposal]]) -> None:
     """One ``image_id cx cy w h theta score`` line per proposal.
 
-    Each distinct image id is checked before the file is opened, so an id
-    with whitespace leaves no file behind.
+    Each distinct image id is checked before the file is opened, so an
+    empty id or one with whitespace, which would not read back, leaves no
+    file behind.
     """
     for image_id in dict.fromkeys(image_id for image_id, _ in records):
+        if not image_id:
+            raise ValueError("image id must not be empty")
         if any(ch.isspace() for ch in image_id):
             raise ValueError(f"image id {image_id!r} must not contain whitespace")
     text = "".join(

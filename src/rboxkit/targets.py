@@ -15,6 +15,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -366,10 +367,12 @@ def _write_map(path, magic: bytes, level: LevelSpec, grids, dtypes) -> None:
             fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def _read_map(path, magic: bytes, dtypes) -> tuple[LevelSpec, list[np.ndarray]]:
-    """Inverse of :func:`_write_map`: the level and one writable array per dtype."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _read_map(source, magic: bytes, dtypes) -> tuple[LevelSpec, list[np.ndarray]]:
+    """Inverse of :func:`_write_map`: the level and one writable array per dtype.
+
+    ``source`` is a path, or the file's bytes when the caller has read them.
+    """
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     if len(data) < _HEADER.size:
         raise ValueError("map file truncated: missing header")
     tag, stride, gw, gh, k = _HEADER.unpack_from(data)
@@ -400,7 +403,7 @@ def save_target_maps(maps: TargetMaps, path) -> None:
 
 
 def load_target_maps(path) -> TargetMaps:
-    """Read a file written by :func:`save_target_maps`."""
+    """Read a file written by :func:`save_target_maps`, from its path or its bytes."""
     level, (location, orientation, shape_dw, shape_dh, valid) = _read_map(
         path, TARGET_MAGIC, _TARGET_DTYPES
     )

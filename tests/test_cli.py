@@ -487,6 +487,40 @@ class TestLabelgenAndDecode:
         assert "overflow" in capsys.readouterr().err
 
 
+    def test_decode_empty_image_id_rejected(self, tmp_path, capsys):
+        # the image id is the file name up to its first dot, here ""
+        lv = LevelSpec(stride=4, grid_w=4, grid_h=4)
+        maps = PredictionMaps(
+            level=lv,
+            location_prob=np.full((4, 4), 0.9, dtype=np.float32),
+            orientation=np.full((4, 4), 0.5, dtype=np.float32),
+            shape_dw=np.zeros((4, 4), dtype=np.float32),
+            shape_dh=np.zeros((4, 4), dtype=np.float32),
+        )
+        pmap = tmp_path / ".s4.pmap"
+        save_prediction_maps(maps, pmap)
+        out = tmp_path / "dec.txt"
+        rc = main(["decode", str(pmap), "--no-nms", "--output", str(out)])
+        assert rc == 2
+        assert "error: image id must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"PMA", "error: map file truncated: missing header"),
+            (b"XMAP" + bytes(16), "error: bad magic b'XMAP', expected b'PMAP'"),
+            (b"TMAP" + bytes(3), "error: map file truncated: missing header"),
+        ],
+        ids=["truncated", "bad-magic", "truncated-tmap"],
+    )
+    def test_decode_bad_map_file(self, tmp_path, capsys, data, message):
+        path = tmp_path / "img.s4.pmap"
+        path.write_bytes(data)
+        assert main(["decode", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestNms:
     def test_duplicate_collapsed(self, tmp_path, capsys):
         det_file = tmp_path / "in.txt"
@@ -632,6 +666,17 @@ class TestNegativeExponentValues:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_type_error_shows_the_value_as_given(self, scene, tmp_path, capsys):
+        # main marks a negative value with a leading space; the error must not show it
+        _, gt_dir, _, _ = scene
+        argv = ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", "--strides", "-1e3", "--output", str(tmp_path / "m")]
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --strides: invalid int value: '-1e3'" in err
+        assert "' -1e3'" not in err
 
     def test_nms_threshold_checks_the_value(self, scene, tmp_path, capsys):
         _, _, det_file, _ = scene

@@ -252,6 +252,26 @@ def clustered_proposals(draw):
     return props + [props[k] for k in copies]
 
 
+@st.composite
+def clusters_with_copies(draw):
+    """Clustered proposals plus copies of some of their boxes: shifted along one of the
+    box's axes, nested in it, identical, touching it, or turned by a small angle."""
+    props = draw(clustered_proposals())
+    for p in draw(st.lists(st.sampled_from(props), max_size=6)):
+        b = p.box
+        along_w = draw(st.booleans())
+        side = b.w if along_w else b.h
+        c, s = math.cos(b.theta), math.sin(b.theta)
+        ux, uy = (c, s) if along_w else (-s, c)
+        kind = draw(st.sampled_from(["shifted", "nested", "identical", "touching", "turned"]))
+        d = {"shifted": draw(st.floats(0.0, 1.5)) * side, "touching": side}.get(kind, 0.0)
+        k = draw(st.floats(0.2, 1.0)) if kind == "nested" else 1.0
+        turn = draw(st.floats(-1e-3, 1e-3)) if kind == "turned" else 0.0
+        score = draw(st.integers(0, 4)) / 4
+        props.append(prop(b.cx + d * ux, b.cy + d * uy, k * b.w, k * b.h, b.theta + turn, score))
+    return props
+
+
 class TestPolygonNms:
     def test_single_proposal(self):
         p = prop(0, 0, 10, 5, 0.2, 0.7)
@@ -341,20 +361,40 @@ class TestPolygonNms:
             for thr in (0.1, 0.3, 0.7):
                 assert polygon_nms(props, thr) == loop_nms(props, thr)
 
-    def test_chain_needs_several_rounds(self, monkeypatch):
+    def test_axis_aligned_chain_needs_no_exact_iou(self, monkeypatch):
         # each box overlaps the next at IoU 7/13 and the one after at 4/16:
-        # a drops b, so c survives and drops d, so e survives
+        # a drops b, so c survives and drops d, so e survives. Aligned boxes
+        # make both IoU bounds exact, so they decide every pair.
         a, b, c, d, e = (prop(3.0 * k, 0, 10, 5, 0.0, 0.9 - 0.1 * k) for k in range(5))
         props = [e, d, c, b, a]
         assert loop_nms(props, 0.3) == [a, c, e]
+        calls = []
+        exact = polyiou._exact
+        monkeypatch.setattr(polyiou, "_exact", lambda *args: calls.append(args[2]) or exact(*args))
+        assert polygon_nms(props, 0.3) == [a, c, e]
+        assert calls == []
+
+    def test_chain_needs_several_rounds(self, monkeypatch):
+        # each box turns 28 degrees from the last: it overlaps the next at IoU
+        # about 0.42 with a lower bound below 0.18, and the one after at about
+        # 0.25 with an upper bound above 0.41, so the bounds decide neither kind
+        # of pair and each round's exact IoU keeps the next surviving box
+        chain = [prop(2.0 * k, 0, 10, 5, math.radians(28.0 * k), 0.9 - 0.1 * k) for k in range(7)]
+        a, b, c, d, e, f, g = chain
+        assert loop_nms(chain[::-1], 0.3) == [a, c, e, g]
         rounds = []
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: rounds.append(args[2]) or exact(*args))
-        assert polygon_nms(props, 0.3) == [a, c, e]
+        assert polygon_nms(chain[::-1], 0.3) == [a, c, e, g]
         assert len(rounds) == 3
 
     @given(clustered_proposals(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_matches_pairwise_loop_property(self, props, thr):
+        assert polygon_nms(props, thr) == loop_nms(props, thr)
+
+    @given(clusters_with_copies(), st.sampled_from([0.1, 0.3, 1.0 / 3.0, 0.5, 0.7]))
+    def test_matches_pairwise_loop_with_copies(self, props, thr):
+        # a copy shifted by half a side reads IoU 1/3, a threshold the bounds cannot decide
         assert polygon_nms(props, thr) == loop_nms(props, thr)
 
     def test_exact_iou_only_from_kept_boxes(self, monkeypatch):
@@ -369,7 +409,7 @@ class TestPolygonNms:
             ]
         )
         table = polyiou._table(boxes)
-        aabb_pairs = len(polyiou._aabb_pairs(table, table, upper=True)[0])
+        aabb_pairs = len(polyiou._sweep_pairs(table)[0])
         firsts = []
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: firsts.append(args[2]) or exact(*args))

@@ -409,6 +409,15 @@ class TestDetectionWriterMatchesFString:
         assert p.read_text() == "kept\n"
 
 
+    def test_empty_id_writes_nothing(self, tmp_path):
+        # an empty id would start its line with a space, which the reader splits away
+        good = Proposal(box=RotatedBox(10, 10, 20, 10, 0.0), score=0.9)
+        p = tmp_path / "dets.txt"
+        with pytest.raises(ValueError, match="image id must not be empty"):
+            write_detection_file(p, [("ok", good), ("", good)])
+        assert not p.exists()
+
+
 class TestToGroundTruth:
     def test_flags(self):
         records = [

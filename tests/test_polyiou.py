@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rboxkit import polyiou
 from rboxkit.geom import RotatedBox, box_corners
 from rboxkit.polyiou import (
     box_array,
@@ -142,6 +143,26 @@ class TestIou:
             approx = iou_oracle(a, b, samples=50_000, seed=k)
             # generous 3-sigma style bound for 5e4 samples
             assert abs(exact - approx) < 0.02
+
+    def test_copy_shifted_along_its_own_axis(self):
+        # moved a fraction f of a side along that side's axis, a copy keeps
+        # (1 - f) of the box: IoU (1 - f) / (1 + f). Near-parallel edges used to
+        # add spurious crossings, and this pair (f = 1/2) read 0.6
+        a = RotatedBox(12.409657627761284, -15.35734695792156, 28.85909310057885, 11.751641675407324, -0.1689362174351734)
+        b = RotatedBox(26.63378778601121, -17.783441533187418, a.w, a.h, a.theta)
+        assert abs(iou(a, b) - 1.0 / 3.0) < 1e-9
+        rng = np.random.default_rng(89)
+        for offset in (0.0, 1e5):
+            for along_w in (True, False):
+                for _ in range(150):
+                    a = random_box(rng)
+                    a = RotatedBox(a.cx + offset, a.cy - offset, a.w, a.h, a.theta)
+                    f = rng.uniform(0.01, 0.99)
+                    d = f * (a.w if along_w else a.h)
+                    c, s = math.cos(a.theta), math.sin(a.theta)
+                    dx, dy = (d * c, d * s) if along_w else (-d * s, d * c)
+                    b = RotatedBox(a.cx + dx, a.cy + dy, a.w, a.h, a.theta)
+                    assert abs(iou(a, b) - (1.0 - f) / (1.0 + f)) < 1e-9
 
     def test_thin_box_small_rotation_probe(self):
         # 5:1 box against itself rotated by pi/15: kernel and oracle agree
@@ -297,6 +318,102 @@ class TestIouProperties:
         inter = polygon_area(clip_convex(box_corners(local_a), box_corners(local_b)))
         expected = inter / (a.area + b.area - inter)
         assert abs(iou(a, b) - expected) < 1e-9
+
+
+@st.composite
+def _crowd(draw):
+    """(N, 5) rows: free boxes, exact copies, and axis-aligned boxes that touch exactly."""
+    rows = [tuple(vars(b).values()) for b in draw(st.lists(_box(), max_size=10))]
+    ints = st.integers(-20, 20)
+    for _ in range(draw(st.integers(0, 3))):
+        cx, cy, w, h = draw(ints), draw(ints), draw(st.integers(1, 10)), draw(st.integers(1, 10))
+        rows += [(cx, cy, w, h, 0.0), (cx + w, cy, w, h, 0.0), (cx, cy - h, w, h, 0.0), (cx + w, cy + h, w, h, 0.0)]
+    if rows:
+        rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))]
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
+
+
+@st.composite
+def _copy_pair(draw):
+    """A box anywhere up to 1e6 px out and a copy of it: shifted along one of its axes, nested
+    in it, identical, touching it, or turned by a small angle."""
+    a = draw(_box(_far, _far))
+    kind = draw(st.sampled_from(["shifted", "nested", "identical", "touching", "turned"]))
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    along_w = draw(st.booleans())
+    side = a.w if along_w else a.h
+    ux, uy = (c, s) if along_w else (-s, c)
+    if kind == "shifted":
+        d = draw(st.floats(-1.5, 1.5)) * side
+        return a, RotatedBox(a.cx + d * ux, a.cy + d * uy, a.w, a.h, a.theta)
+    if kind == "nested":
+        k = draw(st.floats(0.05, 1.0))
+        d = draw(st.floats(-1.0, 1.0)) * (1.0 - k) * side / 2.0
+        return a, RotatedBox.make(a.cx + d * ux, a.cy + d * uy, k * a.w, k * a.h, a.theta)
+    if kind == "identical":
+        return a, a
+    if kind == "touching":
+        return a, RotatedBox(a.cx + side * ux, a.cy + side * uy, a.w, a.h, a.theta)
+    turn = draw(st.floats(-1e-3, 1e-3))
+    return a, RotatedBox.make(a.cx, a.cy, a.w, a.h, a.theta + turn)
+
+
+def _bounds(a: RotatedBox, b: RotatedBox):
+    table = polyiou._table(box_array((a, b)))
+    i, j = np.array([0]), np.array([1])
+    return polyiou._iou_lower(table, i, j)[0], polyiou._iou_upper(table, i, j)[0]
+
+
+class TestNmsStages:
+    """The sweep pair listing and the IoU bounds that greedy_nms builds on."""
+
+    @given(_crowd())
+    def test_sweep_lists_the_dense_pairs(self, rows):
+        table = polyiou._table(rows)
+        i, j = polyiou._sweep_pairs(table)
+        di, dj = polyiou._aabb_pairs(table, table)
+        upper = di < dj
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(di[upper].tolist(), dj[upper].tolist()))
+        assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
+
+    def test_sweep_edge_cases(self):
+        empty = polyiou._table(np.zeros((0, 5)))
+        assert [len(v) for v in polyiou._sweep_pairs(empty)] == [0, 0]
+        one = polyiou._table(np.array([[3.0, 4.0, 2.0, 1.0, 0.3]]))
+        assert [len(v) for v in polyiou._sweep_pairs(one)] == [0, 0]
+        # touching at an edge and at a corner, plus an identical copy: all listed
+        rows = np.array([[0, 0, 2, 2, 0], [2, 0, 2, 2, 0], [2, 2, 2, 2, 0], [0, 0, 2, 2, 0], [4.5, 0, 2, 2, 0]])
+        i, j = polyiou._sweep_pairs(polyiou._table(rows))
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        # the dense test accepts this pair while x-min (-26.5 + 19.9 rounded)
+        # and x-max (2.5 - 9.1 rounded) cross by one ulp: the sweep must widen
+        rows = np.array([[-26.5, 0, 39.8, 1, 0], [2.5, 0, 18.2, 1, 0]])
+        assert [v.tolist() for v in polyiou._sweep_pairs(polyiou._table(rows))] == [[0], [1]]
+
+    @given(st.one_of(_pair(), _copy_pair()))
+    def test_bounds_enclose_the_exact_iou(self, pair):
+        a, b = pair
+        exact = iou(a, b)
+        for f, g in ((a, b), (b, a)):
+            lower, upper = _bounds(f, g)
+            assert lower - polyiou._MARGIN <= exact <= upper + polyiou._MARGIN
+
+    def test_lower_bound_holds_most_of_a_turned_copy(self):
+        # the largest rectangle in the copy touches its sides, where rounding must
+        # not push it out and lose the bound
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a = random_box(rng)
+            b = RotatedBox.make(a.cx, a.cy, a.w, a.h, a.theta + rng.uniform(1e-4, 1e-2))
+            assert _bounds(a, b)[0] > 0.5 * iou(a, b)
+
+    def test_bounds_are_tight_for_aligned_boxes(self):
+        # the lower bound's rectangle is fitted to the box shrunk by a relative 1e-9
+        a = RotatedBox(0, 0, 10, 5, 0.0)
+        for b in (a, RotatedBox(3, 0, 10, 5, 0.0), RotatedBox(1, 1, 4, 2, 0.0), RotatedBox(10, 0, 10, 5, 0.0)):
+            lower, upper = _bounds(a, b)
+            assert lower == pytest.approx(iou(a, b), abs=1e-8)
+            assert upper == pytest.approx(iou(a, b), abs=1e-12)
 
 
 class TestIouOracle:
