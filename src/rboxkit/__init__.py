@@ -67,8 +67,6 @@ from .targets import (
     ShrinkParams,
     TargetMaps,
     assign_level,
-    box_delta_decode,
-    box_delta_encode,
     cell_center,
     enumerate_candidates,
     generate_targets,

@@ -16,6 +16,8 @@ import numpy as np
 from .targets import LOC_IGNORE, LOC_NEGATIVE, LOC_POSITIVE
 
 PROB_EPS = 1e-7
+# scored cells per block of map_losses' location term
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,25 @@ class LossValue:
 
 
 def _focal(y, p, a, g):
-    """Focal loss of probability p for the 0/1 label y."""
-    return -(y * a * (1.0 - p) ** g * np.log(p) + (1.0 - y) * (1.0 - a) * p**g * np.log(1.0 - p))
+    """Focal loss of probability p for the 0/1 label y, on scalars or arrays.
+
+    Each cell evaluates its own branch only: on arrays the label-0 branch
+    runs on every cell, then the label-1 branch overwrites the cells where
+    y is 1.
+    """
+
+    def neg(q):
+        return -((1.0 - a) * q**g * np.log(1.0 - q))
+
+    def pos(q):
+        return -(a * (1.0 - q) ** g * np.log(q))
+
+    if np.ndim(p) == 0:
+        return pos(p) if y == 1 else neg(p)
+    out = neg(p)
+    on = y == 1
+    out[on] = pos(p[on])
+    return out
 
 
 def _focal_grad(y, p, a, g):
@@ -184,19 +203,33 @@ def map_losses(pred, target, weights: LossWeights = LossWeights()) -> MapLosses:
     a shape target, comparing the decoded (w, h) pairs. Empty masks
     contribute 0. Sums use float64 pairwise reduction, so results do not
     depend on evaluation order. ``weighted`` is their :func:`total_loss`.
+    Every prediction grid must have the target's shape, and a NaN
+    probability or orientation on a cell a loss scores raises ValueError.
     """
-    if pred.location_prob.shape != target.location.shape:
-        raise ValueError(
-            f"grid mismatch: predictions {pred.location_prob.shape} vs targets {target.location.shape}"
-        )
+    for name in ("location_prob", "orientation", "shape_dw", "shape_dh"):
+        shape = getattr(pred, name).shape
+        if shape != target.location.shape:
+            raise ValueError(f"grid mismatch: predictions {name} {shape} vs targets {target.location.shape}")
 
-    loc_mask = target.location != LOC_IGNORE
-    p = np.clip(pred.location_prob[loc_mask].astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    pos = (target.location[loc_mask] == LOC_POSITIVE).astype(np.float64)
-    l_loc = _mean(_focal(pos, p, weights.focal_alpha, weights.focal_gamma))
+    # location: one focal value per scored cell, computed _CHUNK cells at a time
+    scored = np.flatnonzero(target.location != LOC_IGNORE)
+    prob, label = pred.location_prob.ravel(), target.location.ravel()
+    per_cell = np.empty(scored.size)
+    for lo in range(0, scored.size, _CHUNK):
+        cells = scored[lo : lo + _CHUNK]
+        raw = prob.take(cells)
+        if np.isnan(raw).any():
+            raise ValueError("location_prob is NaN on a scored cell")
+        p = np.clip(raw.astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
+        y = label.take(cells) == LOC_POSITIVE
+        per_cell[lo : lo + cells.size] = _focal(y, p, weights.focal_alpha, weights.focal_gamma)
+    l_loc = _mean(per_cell)
 
     ang_mask = target.location != LOC_NEGATIVE
-    t_hat = np.clip(pred.orientation[ang_mask].astype(np.float64), 0.0, 1.0)
+    t_hat = pred.orientation[ang_mask].astype(np.float64)
+    if np.isnan(t_hat).any():
+        raise ValueError("orientation is NaN on a covered cell")
+    t_hat = np.clip(t_hat, 0.0, 1.0)
     t_gt = target.orientation[ang_mask].astype(np.float64)
     l_angle = _mean(_cosine(np.pi * (t_hat - t_gt)))  # affine map to radians cancels the shift
 

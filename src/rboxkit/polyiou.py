@@ -266,7 +266,7 @@ def _exact(table: np.ndarray, rank: np.ndarray, i: np.ndarray, j: np.ndarray) ->
         bi, bj = i[k : k + _BLOCK], j[k : k + _BLOCK]
         # the pair's first box is the one with the smaller tuple
         swap = rank[bj] < rank[bi]
-        v = _pair_iou(table[np.where(swap, bj, bi)], table[np.where(swap, bi, bj)])
+        v = _pair_iou(table.take(np.where(swap, bj, bi), axis=0), table.take(np.where(swap, bi, bj), axis=0))
         v[rank[bi] == rank[bj]] = 1.0
         vals[k : k + _BLOCK] = v
     return vals

@@ -1,4 +1,4 @@
-"""Training-target generation for anchor maps, plus the shape and box-delta codecs.
+"""Training-target generation for anchor maps, plus the shape codec.
 
 Grid conventions: a feature level with stride ``s`` has ``grid_w`` cells
 along x and ``grid_h`` along y. Cell (i, j) covers the pixel whose center
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geom import Point2, RotatedBox, angle_to_unit, canonicalize_angle
+from .geom import Point2, RotatedBox, angle_to_unit
 
 LOC_NEGATIVE = 0
 LOC_POSITIVE = 1
@@ -215,8 +215,8 @@ def make_levels(
     ]
 
 
-def _cells_in_box_frame(level: LevelSpec, gt: RotatedBox):
-    """Cell index window around the box plus each center's (u, v) in the box frame."""
+def _window(level: LevelSpec, gt: RotatedBox):
+    """Origin (i0, j0) and size (ni, nj) of the cell window around the box, or None off the grid."""
     reach = math.hypot(gt.w, gt.h) / 2.0
     s = level.stride
     i0 = max(0, int((gt.cx - reach) / s - 1))
@@ -225,15 +225,7 @@ def _cells_in_box_frame(level: LevelSpec, gt: RotatedBox):
     j1 = min(level.grid_h - 1, int((gt.cy + reach) / s + 1))
     if i0 > i1 or j0 > j1:
         return None
-    xs = (np.arange(i0, i1 + 1) + 0.5) * s
-    ys = (np.arange(j0, j1 + 1) + 0.5) * s
-    gx, gy = np.meshgrid(xs, ys)
-    c, sn = math.cos(gt.theta), math.sin(gt.theta)
-    dx = gx - gt.cx
-    dy = gy - gt.cy
-    u = dx * c + dy * sn
-    v = dy * c - dx * sn
-    return i0, j0, u, v
+    return i0, j0, i1 - i0 + 1, j1 - j0 + 1
 
 
 def _aligned_iou(u, v, w, h, wg, hg):
@@ -246,6 +238,39 @@ def _aligned_iou(u, v, w, h, wg, hg):
     ih = np.minimum(v + h / 2.0, hg / 2.0) - np.maximum(v - h / 2.0, -hg / 2.0)
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     return inter / (w * h + wg * hg - inter)
+
+
+def _level_cells(level: LevelSpec, rows: np.ndarray, shrink: ShrinkParams, cand: np.ndarray):
+    """The cells that all of a level's boxes cover, in box order and row-major per window.
+
+    ``rows`` has one row per box: its :func:`_window`, then cx, cy, cos,
+    sin, w, h and the unit angle. Returns the flat indices
+    (j * grid_w + i) of the cells inside each full box with the box's unit
+    angle, and of the cells inside its shrink core with the best candidate
+    IoU and that candidate's index.
+    """
+    i0, j0, ni, nj = rows[:, :4].astype(np.int64).T
+    cx, cy, c, sn, w, h, unit = rows[:, 4:].T
+    size = ni * nj
+    box = np.repeat(np.arange(len(rows)), size)
+    # each cell's position within its box's window, row-major
+    row, col = np.divmod(np.arange(box.size) - np.repeat(np.cumsum(size) - size, size), ni.take(box))
+    i, j = col + i0.take(box), row + j0.take(box)
+    dx = (i + 0.5) * level.stride - cx.take(box)
+    dy = (j + 0.5) * level.stride - cy.take(box)
+    cb, sb = c.take(box), sn.take(box)
+    u = dx * cb + dy * sb
+    v = dy * cb - dx * sb
+    au, av = np.abs(u), np.abs(v)
+    full = (au < (w / 2.0).take(box)) & (av < (h / 2.0).take(box))
+    core = (au < (shrink.sigma1 * w / 2.0).take(box)) & (av < (shrink.sigma2 * h / 2.0).take(box))
+    flat = j * level.grid_w + i
+    core_box = box[core]
+    # rows: positive cells; columns: the level's candidates
+    ious = _aligned_iou(
+        u[core][:, None], v[core][:, None], *cand.T, w.take(core_box)[:, None], h.take(core_box)[:, None]
+    )
+    return flat[full], unit.take(box[full]), flat[core], ious.max(1), ious.argmax(1)
 
 
 def generate_targets(
@@ -269,40 +294,34 @@ def generate_targets(
     orientations straddling the +-pi/2 wrap get a diagnostic warning (their
     linear average is not the circular one). Shape targets store the encoded
     candidate (w, h) with the highest same-angle IoU against the owning box
-    (the first such candidate on ties), scoring each box's positive cells
-    against the level's candidates in one broadcast. When two boxes claim a
-    positive cell the higher IoU wins, earlier input order on ties. Only the
-    cells the boxes cover are visited, and each level is resolved once. Boxes
-    with a side under one pixel are skipped with a warning.
+    (the first such candidate on ties). When two boxes claim a positive cell
+    the higher IoU wins, earlier input order on ties. Each level is built in
+    one pass: the windows of all its boxes are expanded into cells at once,
+    and all its positive cells are scored against its candidates in one
+    broadcast. Only the cells the boxes cover are visited. Boxes with a side
+    under one pixel are skipped with a warning.
     """
     out = [TargetMaps.empty(lv) for lv in levels]
     cands = [np.array(enumerate_candidates(lv, candidates)) for lv in levels]
     encoded = [np.array([shape_encode(w, h, lv) for w, h in c]) for lv, c in zip(levels, cands)]
-    # per level, one entry per box in input order; cells are flat indices j * grid_w + i
-    entries = [[] for _ in levels]
+    # per level, one row per box in input order (see _level_cells)
+    rows = [[] for _ in levels]
     for n, gt in enumerate(gts):
         if gt.w < 1.0 or gt.h < 1.0:
             warnings.warn(f"ground truth #{n} smaller than 1px ({gt.w:.3f}x{gt.h:.3f}), skipped")
             continue
         lv_idx = levels.index(assign_level(gt, levels))
-        lv = levels[lv_idx]
-        window = _cells_in_box_frame(lv, gt)
+        window = _window(levels[lv_idx], gt)
         if window is None:
             continue
-        i0, j0, u, v = window
-        flat = (np.arange(u.shape[0])[:, None] + j0) * lv.grid_w + np.arange(u.shape[1]) + i0
-        full = (np.abs(u) < gt.w / 2.0) & (np.abs(v) < gt.h / 2.0)
-        core = (np.abs(u) < shrink.sigma1 * gt.w / 2.0) & (np.abs(v) < shrink.sigma2 * gt.h / 2.0)
-        # rows: this box's positive cells; columns: the level's candidates
-        ious = _aligned_iou(u[core][:, None], v[core][:, None], *cands[lv_idx].T, gt.w, gt.h)
-        unit = np.full(np.count_nonzero(full), angle_to_unit(gt.theta))
-        entries[lv_idx].append((flat[full], unit, flat[core], ious.max(1), ious.argmax(1)))
+        c, sn = math.cos(gt.theta), math.sin(gt.theta)
+        rows[lv_idx].append((*window, gt.cx, gt.cy, c, sn, gt.w, gt.h, angle_to_unit(gt.theta)))
 
     wrap_cells = 0
-    for t, level_entries, enc in zip(out, entries, encoded):
-        if not level_entries:
+    for t, lv, level_rows, cand, enc in zip(out, levels, rows, cands, encoded):
+        if not level_rows:
             continue
-        cells, theta, pos, best, k = (np.concatenate(col) for col in zip(*level_entries))
+        cells, theta, pos, best, k = _level_cells(lv, np.array(level_rows), shrink, cand)
         uniq, inv = np.unique(cells, return_inverse=True)
         # bincount adds in input order, so each sum is taken box by box
         mean = np.bincount(inv, weights=theta) / np.bincount(inv)
@@ -326,33 +345,6 @@ def generate_targets(
             "their averaged orientation targets are unreliable"
         )
     return out
-
-
-def box_delta_encode(gt: RotatedBox, anchor: RotatedBox) -> tuple[float, float, float, float, float]:
-    """Offsets (tx, ty, tw, th, tth) of a box relative to an anchor.
-
-    Centers are normalized by the anchor sides, sizes are log ratios, and
-    the angle offset is canonicalized then divided by pi so all five terms
-    share a comparable scale.
-    """
-    tx = (gt.cx - anchor.cx) / anchor.w
-    ty = (gt.cy - anchor.cy) / anchor.h
-    tw = math.log(gt.w / anchor.w)
-    th = math.log(gt.h / anchor.h)
-    tth = canonicalize_angle(gt.theta - anchor.theta) / math.pi
-    return tx, ty, tw, th, tth
-
-
-def box_delta_decode(deltas, anchor: RotatedBox) -> RotatedBox:
-    """Exact inverse of :func:`box_delta_encode`."""
-    tx, ty, tw, th, tth = deltas
-    return RotatedBox.make(
-        anchor.cx + tx * anchor.w,
-        anchor.cy + ty * anchor.h,
-        anchor.w * math.exp(tw),
-        anchor.h * math.exp(th),
-        canonicalize_angle(anchor.theta + tth * math.pi),
-    )
 
 
 def _write_map(path, magic: bytes, level: LevelSpec, grids, dtypes) -> None:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis.extra.numpy import arrays
 from rboxkit.decode import PredictionMaps, ideal_predictions
 from rboxkit.geom import RotatedBox, canonicalize_angle
 from rboxkit.losses import (
+    _CHUNK,
     PROB_EPS,
     LossWeights,
+    _focal,
     angle_loss,
     conf_loss,
     focal_loss,
@@ -19,7 +22,15 @@ from rboxkit.losses import (
     smooth_l1,
     total_loss,
 )
-from rboxkit.targets import LevelSpec, TargetMaps, generate_targets, make_levels
+from rboxkit.targets import (
+    LOC_IGNORE,
+    LOC_NEGATIVE,
+    LOC_POSITIVE,
+    LevelSpec,
+    TargetMaps,
+    generate_targets,
+    make_levels,
+)
 
 PI = math.pi
 
@@ -35,6 +46,65 @@ def fd_gradient(f, xs, step=1e-5):
         lo[k] -= step
         out.append((f(hi) - f(lo)) / (2 * step))
     return np.array(out)
+
+
+def two_branch_focal(y, p, a, g):
+    """Reference: both focal branches on every cell, weighted by y and 1 - y."""
+    return -(y * a * (1.0 - p) ** g * np.log(p) + (1.0 - y) * (1.0 - a) * p**g * np.log(1.0 - p))
+
+
+def whole_grid_map_losses(pred, target, weights):
+    """Reference: map_losses as one whole-grid pass with the two-branch focal formula."""
+
+    def mean(x):
+        return float(np.mean(x)) if x.size else 0.0
+
+    loc_mask = target.location != LOC_IGNORE
+    p = np.clip(pred.location_prob[loc_mask].astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    pos = (target.location[loc_mask] == LOC_POSITIVE).astype(np.float64)
+    l_loc = mean(two_branch_focal(pos, p, weights.focal_alpha, weights.focal_gamma))
+    ang_mask = target.location != LOC_NEGATIVE
+    t_hat = np.clip(pred.orientation[ang_mask].astype(np.float64), 0.0, 1.0)
+    t_gt = target.orientation[ang_mask].astype(np.float64)
+    l_angle = mean(1.0 - np.cos(np.pi * (t_hat - t_gt)))
+    shp = target.shape_valid
+    sides_p, sides_g = (
+        target.level.base_size * np.exp(np.stack([dw[shp], dh[shp]]).astype(np.float64))
+        for dw, dh in ((pred.shape_dw, pred.shape_dh), (target.shape_dw, target.shape_dh))
+    )
+    x = 1.0 - np.minimum(sides_p / sides_g, sides_g / sides_p)
+    l_shape = mean(np.sum(np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5), axis=0))
+    weighted = total_loss((0.0, 0.0, l_loc, l_angle, l_shape), weights)
+    return l_loc, l_angle, l_shape, weighted
+
+
+def scored_scene(n_scored, seed=0):
+    """A 96x96 stride-4 target/prediction pair with n_scored random cells labeled 0 or 1
+    and every other cell ignore; some probabilities sit at exactly 0 and 1."""
+    rng = np.random.default_rng(seed)
+    shape = (96, 96)
+    location = np.full(shape, LOC_IGNORE, dtype=np.uint8)
+    labels = rng.choice([LOC_NEGATIVE, LOC_POSITIVE], n_scored)
+    location.flat[rng.permutation(location.size)[:n_scored]] = labels
+    lv = LevelSpec(stride=4, grid_w=shape[1], grid_h=shape[0])
+    target = TargetMaps(
+        level=lv,
+        location=location,
+        orientation=np.where(location != LOC_NEGATIVE, rng.random(shape), np.nan).astype(np.float32),
+        shape_dw=rng.normal(0.0, 0.5, shape).astype(np.float32),
+        shape_dh=rng.normal(0.0, 0.5, shape).astype(np.float32),
+        shape_valid=(location == LOC_POSITIVE) & (rng.random(shape) < 0.5),
+    )
+    prob = rng.random(shape).astype(np.float32)
+    prob.flat[rng.integers(0, prob.size, 50)] = rng.choice([0.0, 1.0], 50)
+    pred = PredictionMaps(
+        level=lv,
+        location_prob=prob,
+        orientation=rng.random(shape).astype(np.float32),
+        shape_dw=rng.normal(0.0, 0.5, shape).astype(np.float32),
+        shape_dh=rng.normal(0.0, 0.5, shape).astype(np.float32),
+    )
+    return pred, target
 
 
 def assert_gradients_match(analytic, numeric, rel=1e-4):
@@ -76,6 +146,31 @@ class TestFocalLoss:
             lv = focal_loss(y, p, a, g)
             num = fd_gradient(lambda xs: focal_loss(y, xs[0], a, g).value, [p])
             assert_gradients_match(lv.gradient, num)
+
+
+CLIPPED_PROBS = st.one_of(st.sampled_from([PROB_EPS, 1.0 - PROB_EPS]), st.floats(PROB_EPS, 1.0 - PROB_EPS))
+
+
+class TestFocalBranches:
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(arrays(np.float64, n, elements=CLIPPED_PROBS), arrays(bool, n))
+        ),
+        st.floats(0.01, 0.99),
+        st.one_of(st.just(2.0), st.floats(0.0, 4.0)),
+    )
+    def test_each_branch_equals_two_branch_formula(self, case, a, g):
+        # bit for bit, on arrays (bool or 0/1 labels) and on the 0-d values focal_loss
+        # passes, whose scalar power may round apart from the array one
+        p, label = case
+        want = two_branch_focal(label.astype(np.float64), p, a, g)
+        assert _focal(label, p, a, g).tobytes() == want.tobytes()
+        assert _focal(label.astype(np.int64), p, a, g).tobytes() == want.tobytes()
+        for y, q in zip(label, p):
+            got = _focal(int(y), np.float64(q), a, g)
+            assert np.ndim(got) == 0
+            want = two_branch_focal(int(y), np.float64(q), a, g)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestConfLoss:
@@ -280,6 +375,51 @@ class TestMapLosses:
             rel=1e-4,
         )
         assert out.weighted == pytest.approx(out.loc + out.angle + 0.1 * out.shape)
+
+    @pytest.mark.parametrize("name", ["location_prob", "orientation", "shape_dw", "shape_dh"])
+    def test_each_grid_shape_checked(self, name):
+        target = self._scene()
+        ideal = ideal_predictions(target)
+        grids = {n: getattr(ideal, n) for n in ("location_prob", "orientation", "shape_dw", "shape_dh")}
+        grids[name] = grids[name][:-1]
+        with pytest.raises(ValueError, match=f"grid mismatch: predictions {name}"):
+            map_losses(SimpleNamespace(**grids), target)
+
+    def test_nan_probability_on_scored_cell_rejected(self):
+        # the NaN sits in the second block of scored cells
+        pred, target = scored_scene(_CHUNK + 1)
+        last = np.flatnonzero(target.location != LOC_IGNORE)[-1]
+        pred.location_prob.flat[last] = np.nan
+        with pytest.raises(ValueError, match="location_prob"):
+            map_losses(pred, target)
+
+    def test_nan_orientation_on_covered_cell_rejected(self):
+        target = self._scene()
+        pred = ideal_predictions(target)
+        j, i = np.argwhere(target.location != LOC_NEGATIVE)[0]
+        pred.orientation[j, i] = np.nan
+        with pytest.raises(ValueError, match="orientation"):
+            map_losses(pred, target)
+
+    def test_nan_on_unscored_cells_ignored(self):
+        # NaN where the location loss skips (ignore) and where the angle loss skips (negative)
+        target = self._scene()
+        pred = ideal_predictions(target)
+        pred.location_prob[target.location == LOC_IGNORE] = np.nan
+        pred.orientation[target.location == LOC_NEGATIVE] = np.nan
+        out = map_losses(pred, target)
+        assert all(math.isfinite(v) for v in (out.loc, out.angle, out.shape, out.weighted))
+
+    @pytest.mark.parametrize(
+        "n_scored", [0, 1, _CHUNK, _CHUNK + 1, 96 * 96], ids=["all-ignore", "one", "chunk", "chunk+1", "all"]
+    )
+    @pytest.mark.parametrize(
+        "weights", [LossWeights(), LossWeights(shape=0.3, focal_alpha=0.6, focal_gamma=1.5)]
+    )
+    def test_equals_whole_grid_pass(self, n_scored, weights):
+        pred, target = scored_scene(n_scored, seed=n_scored)
+        out = map_losses(pred, target, weights)
+        assert (out.loc, out.angle, out.shape, out.weighted) == whole_grid_map_losses(pred, target, weights)
 
     def test_shape_mismatch_rejected(self):
         target = self._scene()

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rboxkit.geom import RotatedBox, angle_to_unit
@@ -16,10 +16,7 @@ from rboxkit.targets import (
     ShapeCandidateSet,
     ShrinkParams,
     _aligned_iou,
-    _cells_in_box_frame,
     assign_level,
-    box_delta_decode,
-    box_delta_encode,
     cell_center,
     enumerate_candidates,
     generate_targets,
@@ -35,6 +32,23 @@ PI = math.pi
 
 def level(stride, gw=32, gh=32, k=5.0, long_ratios=False):
     return LevelSpec(stride=stride, k=k, grid_w=gw, grid_h=gh, long_ratios_enabled=long_ratios)
+
+
+def cells_in_box_frame(level, gt):
+    """Reference window: the cell index bounds around the box plus each center's
+    (u, v) in the box frame, one meshgrid per box."""
+    reach = math.hypot(gt.w, gt.h) / 2.0
+    s = level.stride
+    i0 = max(0, int((gt.cx - reach) / s - 1))
+    i1 = min(level.grid_w - 1, int((gt.cx + reach) / s + 1))
+    j0 = max(0, int((gt.cy - reach) / s - 1))
+    j1 = min(level.grid_h - 1, int((gt.cy + reach) / s + 1))
+    if i0 > i1 or j0 > j1:
+        return None
+    gx, gy = np.meshgrid((np.arange(i0, i1 + 1) + 0.5) * s, (np.arange(j0, j1 + 1) + 0.5) * s)
+    c, sn = math.cos(gt.theta), math.sin(gt.theta)
+    dx, dy = gx - gt.cx, gy - gt.cy
+    return i0, j0, dx * c + dy * sn, dy * c - dx * sn
 
 
 def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSet()):
@@ -54,7 +68,7 @@ def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSe
         if gt.w < 1.0 or gt.h < 1.0:
             continue
         n = levels.index(assign_level(gt, levels))
-        window = _cells_in_box_frame(levels[n], gt)
+        window = cells_in_box_frame(levels[n], gt)
         if window is None:
             continue
         i0, j0, u, v = window
@@ -91,10 +105,12 @@ def loop_targets(gts, levels, shrink=ShrinkParams(), candidates=ShapeCandidateSe
 
 @st.composite
 def clustered_scenes(draw):
-    """1-3 clusters of boxes with exact and near-exact duplicates, some under one pixel."""
+    """1-3 clusters of boxes with exact and near-exact duplicates, some under one pixel
+    and interleaved with valid ones; a cluster may straddle the border of the 128 px
+    image or sit wholly off it."""
     boxes = []
     for _ in range(draw(st.integers(1, 3))):
-        cx, cy = draw(st.floats(0, 128)), draw(st.floats(0, 128))
+        cx, cy = draw(st.floats(-60, 188)), draw(st.floats(-60, 188))
         for _ in range(draw(st.integers(1, 5))):
             b = RotatedBox.make(
                 cx + draw(st.floats(-12, 12)),
@@ -107,6 +123,8 @@ def clustered_scenes(draw):
             boxes.extend([b] * draw(st.integers(0, 2)))
             if draw(st.booleans()):
                 boxes.append(RotatedBox(b.cx + 1e-9, b.cy, b.w, b.h, b.theta))
+            if draw(st.booleans()):
+                boxes.append(RotatedBox.make(b.cx, b.cy, b.w, draw(st.floats(0.01, 0.99)), b.theta))
     return boxes
 
 
@@ -339,14 +357,36 @@ class TestGenerateTargets:
         assert np.array_equal(maps.location == LOC_POSITIVE, pos_union)
 
     @given(clustered_scenes())
+    @example(
+        [
+            RotatedBox(2, 60, 40, 12, 0.3),  # clipped at the left border
+            RotatedBox(60, 60, 10, 0.6, 0.0),  # under one pixel
+            RotatedBox(125, 126, 30, 20, -0.8),  # clipped at the bottom-right corner
+            RotatedBox(-90, 40, 20, 10, 0.1),  # window wholly off the image
+            RotatedBox(64, 64, 22, 18, 0.2),  # three boxes on the stride-4 level
+            RotatedBox(40, 90, 10, 0.4, 0.5),  # under one pixel
+            RotatedBox(70, 62, 20, 16, -0.4),
+            RotatedBox(220, 64, 22, 18, 1.2),  # window wholly off the image
+            RotatedBox(66, 60, 21, 19, 0.0),
+            RotatedBox(64, 64, 90, 60, 1.5),  # straddling the wrap on the stride-16 level
+            RotatedBox(66, 64, 85, 60, -1.5),
+        ]
+    )
     def test_matches_per_cell_loop(self, gts):
         levels = make_levels(128, 128)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
             out = generate_targets(gts, levels)
         want, wrap_cells = loop_targets(gts, levels)
-        counts = [int(str(w.message).split()[0]) for w in caught if "wrap" in str(w.message)]
-        assert counts == ([wrap_cells] if wrap_cells else [])
+        # one skip warning per sub-pixel box in input order, then at most one wrap warning
+        skipped = [n for n, gt in enumerate(gts) if gt.w < 1.0 or gt.h < 1.0]
+        messages = [str(w.message) for w in caught]
+        heads = [m.split()[:3] for m in messages[: len(skipped)]]
+        assert heads == [["ground", "truth", f"#{n}"] for n in skipped]
+        assert all("smaller than 1px" in m for m in messages[: len(skipped)])
+        wraps = messages[len(skipped) :]
+        assert all("wrap" in m for m in wraps)
+        assert [int(m.split()[0]) for m in wraps] == ([wrap_cells] if wrap_cells else [])
         for maps, (location, orientation, dw, dh) in zip(out, want):
             assert maps.location.tobytes() == location.tobytes()
             assert np.array_equal(maps.orientation, orientation, equal_nan=True)
@@ -392,41 +432,6 @@ class TestGenerateTargets:
         for m in maps:
             assert not (m.location != LOC_NEGATIVE).any()
             assert not m.shape_valid.any()
-
-
-class TestBoxDeltaCodec:
-    def test_identity(self):
-        b = RotatedBox(3, 4, 20, 10, 0.2)
-        assert box_delta_encode(b, b) == (0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_worked_example(self):
-        anchor = RotatedBox(0, 0, 20, 10, 0)
-        gt = RotatedBox(2, 1, 40, 10, 0)
-        tx, ty, tw, th, tth = box_delta_encode(gt, anchor)
-        assert (tx, ty) == pytest.approx((0.1, 0.1))
-        assert tw == pytest.approx(math.log(2))
-        assert (th, tth) == (0.0, 0.0)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            def rb():
-                w = rng.uniform(5, 100)
-                return RotatedBox(
-                    rng.uniform(-50, 50),
-                    rng.uniform(-50, 50),
-                    w,
-                    rng.uniform(1, w),
-                    rng.uniform(-PI / 2, PI / 2 - 1e-9),
-                )
-
-            gt, anchor = rb(), rb()
-            back = box_delta_decode(box_delta_encode(gt, anchor), anchor)
-            assert abs(back.cx - gt.cx) < 1e-9
-            assert abs(back.cy - gt.cy) < 1e-9
-            assert abs(back.w - gt.w) < 1e-9
-            assert abs(back.h - gt.h) < 1e-9
-            assert abs(back.theta - gt.theta) < 1e-9
 
 
 class TestSerialization:
