@@ -24,6 +24,7 @@ from .evalkit import (
 )
 from .geom import (
     AugmentTransform,
+    Detections,
     GroundTruthItem,
     Point2,
     Proposal,
@@ -54,11 +55,9 @@ from .losses import (
 from .polyiou import (
     box_array,
     clip_convex,
-    convex_hull,
     iou,
     iou_matrix,
     iou_oracle,
-    min_area_rect,
     polygon_area,
 )
 from .targets import (

@@ -13,9 +13,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import decode as dec
 from . import evalkit, formats, polyiou, targets
-from .geom import RotatedBox, box_corners
+from .geom import Detections, RotatedBox, box_corners
 
 DEFAULT_STRIDES = (4, 8, 16, 32)
 DEFAULT_LONG_RATIO_STRIDES = (4, 8)
@@ -81,11 +83,12 @@ def cmd_evaluate(args) -> int:
         if image_id not in gt_map:
             _note(f"note: no ground-truth file for image {image_id!r}; counted as background")
             gt_map[image_id] = []
+    none = Detections((), (), ())
     # zero images score like one empty image, so each row keeps its threshold
     per_image = [
-        evalkit.sweep_report(det_groups.get(i, []), gt_map[i], args.iou_thresholds)
+        evalkit.sweep_report(det_groups.get(i, none), gt_map[i], args.iou_thresholds)
         for i in image_ids
-    ] or [evalkit.sweep_report([], [], args.iou_thresholds)]
+    ] or [evalkit.sweep_report(none, [], args.iou_thresholds)]
     rows = [evalkit.combine_reports(list(col)) for col in zip(*per_image)]
     print(evalkit.format_eval_table(rows))
     if args.output:
@@ -97,7 +100,8 @@ def cmd_proposal_recall(args) -> int:
     det_groups, det_errors = _read_detections(Path(args.proposals))
     gt_map, gt_errors = _load_gt_map(Path(args.gt), args.gt_format, args.include_difficult)
     image_ids = sorted(gt_map)
-    props = [det_groups.get(i, []) for i in image_ids]
+    none = Detections((), (), ())
+    props = [det_groups.get(i, none) for i in image_ids]
     gts = [gt_map[i] for i in image_ids]
     report = evalkit.proposal_recall(props, gts, n_values=tuple(args.top_n))
     print(evalkit.format_recall_table(report))
@@ -176,24 +180,24 @@ def cmd_decode(args) -> int:
         image_id = path.name.split(".")[0]
         by_image.setdefault(image_id, []).append(_sniff_maps(path))
 
-    records = []
+    per_image = []
     total_cells = 0
-    all_props = []
     for image_id in sorted(by_image):
-        maps_list = sorted(by_image[image_id], key=lambda m: m.level.stride)
-        proposals = []
-        for maps in maps_list:
-            total_cells += maps.level.grid_w * maps.level.grid_h
-            proposals.extend(dec.decode_anchors(maps, args.t_a))
-        proposals.sort(key=lambda p: -p.score)
+        levels = [dec.decode_anchors(m, args.t_a) for m in sorted(by_image[image_id], key=lambda m: m.level.stride)]
+        total_cells += sum(m.level.grid_w * m.level.grid_h for m in by_image[image_id])
+        # one stable sort by score merges the levels; ties keep stride, then cell order
+        scores = np.concatenate([d.scores for d in levels])
+        order = np.argsort(-scores, kind="stable")
+        boxes = np.concatenate([d.boxes for d in levels]).take(order, axis=0)
+        proposals = Detections(np.full(len(order), image_id, dtype=object), boxes, scores.take(order))
         if not args.no_nms:
             proposals = dec.polygon_nms(proposals, args.nms_iou)
         if args.top_n is not None:
             proposals = proposals[: args.top_n]
-        all_props.extend(proposals)
-        records.extend((image_id, p) for p in proposals)
+        per_image.append(proposals)
+    records = Detections.concat(per_image)
 
-    stats = dec.anchor_statistics(all_props, total_cells)
+    stats = dec.anchor_statistics(records, total_cells)
     print(f"active\t{stats.count}")
     print(f"cells\t{stats.cells_total}")
     print(f"fraction\t{stats.fraction:.4f}")
@@ -213,10 +217,7 @@ def cmd_nms(args) -> int:
     if not 0.0 < args.nms_iou < 1.0:
         raise ValueError(f"nms iou threshold must lie in (0, 1), got {args.nms_iou}")
     det_groups, det_errors = _read_detections(Path(args.detections))
-    records = []
-    for image_id in sorted(det_groups):
-        for p in dec.polygon_nms(det_groups[image_id], args.nms_iou):
-            records.append((image_id, p))
+    records = Detections.concat(dec.polygon_nms(det_groups[i], args.nms_iou) for i in sorted(det_groups))
     formats.write_detection_file(args.output, records)
     _note(f"kept {len(records)} of {sum(len(v) for v in det_groups.values())} detections")
     return 1 if det_errors else 0

@@ -2,9 +2,9 @@
 
 Prediction maps mirror the target-map grids: a probability per cell plus
 normalized orientation and the two log-size shape offsets. Decoding turns
-every cell whose probability exceeds one threshold t_a into one
-rotated-box proposal, all cells of a level at once; polygon NMS then thins
-the proposals.
+every cell whose probability exceeds one threshold t_a into one row of a
+detection record, all cells of a level at once; polygon NMS then thins
+the record.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Proposal, _canonical_rows, _proposals, _valid_rows, unit_to_angle
+from .geom import Detections, _canonical_rows, _valid_rows, unit_to_angle
 from .polyiou import greedy_nms
 from .targets import (
     LOC_POSITIVE,
@@ -71,12 +71,13 @@ def ideal_predictions(target: TargetMaps) -> PredictionMaps:
     )
 
 
-def decode_anchors(maps: PredictionMaps, t_a: float = 0.05) -> list[Proposal]:
-    """One proposal per cell whose probability strictly exceeds the activation threshold t_a.
+def decode_anchors(maps: PredictionMaps, t_a: float = 0.05) -> Detections:
+    """One detection row per cell whose probability strictly exceeds the activation threshold t_a.
 
     ``t_a`` must lie in [0, 1]. The box center is the cell center, the angle comes from the orientation
-    map, the sides from the shape map. Output is sorted by score descending
-    with ties in (i, j) cell order. All active cells are decoded at once; the
+    map, the sides from the shape map. Rows are sorted by score descending
+    with ties in (i, j) cell order, and their image ids are empty: a map
+    does not know its image. All active cells are decoded at once; the
     first cell in (i, j) order that cannot be decoded raises the ``ValueError``
     of the scalar step it fails (``shape_decode``, ``unit_to_angle`` or the
     box and proposal checks).
@@ -97,15 +98,14 @@ def decode_anchors(maps: PredictionMaps, t_a: float = 0.05) -> list[Proposal]:
         w, h = lv.base_size * ew, lv.base_size * eh
     centres = [(i + 0.5) * lv.stride, (j + 0.5) * lv.stride]
     rows = _canonical_rows(np.column_stack([*centres, w, h, math.pi * (unit - 0.5)]))
-    bad = undecodable | ~_valid_rows(rows, scores)
-    if bad.any():
-        # the first bad cell raises the error of the first step it fails
-        k = int(np.argmax(bad))
+    if undecodable.any():
+        # the first bad cell raises the error of the first step it fails: the
+        # scalar codec here, the box and proposal checks in the record below
+        k = int(np.argmax(undecodable | ~_valid_rows(rows, scores)))
         shape_decode(float(dw[k]), float(dh[k]), lv)
         unit_to_angle(float(unit[k]))
-        _proposals(rows[k : k + 1], scores[k : k + 1])
-    order = np.argsort(-scores, kind="stable")
-    return _proposals(rows[order], scores[order])
+    cells = Detections(np.full(len(scores), "", dtype=object), rows, scores)
+    return cells.take(np.argsort(-scores, kind="stable"))
 
 
 def _exp(values: np.ndarray) -> np.ndarray:
@@ -128,22 +128,18 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
-def polygon_nms(proposals: list[Proposal], iou_threshold: float = 0.3) -> list[Proposal]:
+def polygon_nms(proposals: Detections, iou_threshold: float = 0.3) -> Detections:
     """Greedy non-maximum suppression with rotated-polygon overlap.
 
-    Repeatedly keeps the best-scoring remaining proposal and drops the rest
+    Repeatedly keeps the best-scoring remaining row and drops the rest
     whose IoU against it strictly exceeds the threshold. Ties keep input
-    order. The result is a subset of the input in score-descending order.
+    order. The result is a selection of the input in score-descending order.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"nms iou threshold must lie in (0, 1), got {iou_threshold}")
-    table = np.array(
-        [(p.box.cx, p.box.cy, p.box.w, p.box.h, p.box.theta, p.score) for p in proposals],
-        dtype=np.float64,
-    ).reshape(-1, 6)
-    order = np.argsort(-table[:, 5], kind="stable")
-    kept = greedy_nms(table[order, :5], iou_threshold)
-    return [proposals[k] for k in order[kept].tolist()]
+    order = np.argsort(-proposals.scores, kind="stable")
+    kept = greedy_nms(proposals.boxes.take(order, axis=0), iou_threshold)
+    return proposals.take(order[kept])
 
 
 @dataclass(frozen=True)
@@ -157,12 +153,13 @@ class AnchorStats:
     angle_hist: tuple
 
 
-def anchor_statistics(proposals: list[Proposal], cells_total: int) -> AnchorStats:
+def anchor_statistics(proposals: Detections, cells_total: int) -> AnchorStats:
     """Histogram the decoded anchors' log2 aspect ratios and angles."""
     aspect_edges = np.linspace(0.0, 4.0, _ASPECT_BINS + 1)
     angle_edges = np.linspace(-math.pi / 2, math.pi / 2, _ANGLE_BINS + 1)
-    ratios = np.array([math.log2(p.box.w / p.box.h) for p in proposals])
-    angles = np.array([p.box.theta for p in proposals])
+    _, _, w, h, angles = proposals.boxes.T
+    # libm log2 one value at a time, as a scalar caller computes it
+    ratios = np.array(list(map(math.log2, (w / h).tolist())), dtype=np.float64)
     a_counts, _ = np.histogram(ratios, bins=aspect_edges)
     t_counts, _ = np.histogram(angles, bins=angle_edges)
     fraction = len(proposals) / cells_total if cells_total > 0 else 0.0

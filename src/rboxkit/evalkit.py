@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import GroundTruthItem, Proposal
+from .geom import Detections, GroundTruthItem
 from .polyiou import box_array, iou_matrix
 
 AVG_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -44,7 +44,7 @@ def _prf(matched: int, num_detections: int, num_gt: int) -> tuple[float, float, 
 
 
 def match_detections(
-    dets: list[Proposal],
+    dets: Detections,
     gts: list[GroundTruthItem],
     iou_threshold: float = 0.5,
     *,
@@ -58,13 +58,13 @@ def match_detections(
     the detection x ground-truth IoU matrix when the caller already has it;
     it is computed here otherwise.
     """
-    ious = _pair_ious(dets, gts) if ious is None else np.asarray(ious, dtype=np.float64)
+    ious = iou_matrix(dets.boxes, box_array(g.box for g in gts)) if ious is None else np.asarray(ious, dtype=np.float64)
     if ious.shape != (len(dets), len(gts)):
         raise ValueError(f"ious has shape {ious.shape}, expected {(len(dets), len(gts))}")
     care = np.array([not g.dont_care for g in gts], dtype=bool)
 
     kept = np.flatnonzero(~(ious[:, ~care] > iou_threshold).any(axis=1))
-    kept = kept[np.argsort([-dets[k].score for k in kept], kind="stable")]
+    kept = kept[np.argsort(-dets.scores.take(kept), kind="stable")]
     rows = ious[kept][:, care]
 
     taken = np.zeros(rows.shape[1], dtype=bool)
@@ -104,20 +104,13 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
     return EvalReport(p, r, f, matched, dets, gts, thr)
 
 
-def sweep_report(
-    dets: list[Proposal], gts: list[GroundTruthItem], thresholds
-) -> list[EvalReport]:
+def sweep_report(dets: Detections, gts: list[GroundTruthItem], thresholds) -> list[EvalReport]:
     """One report per IoU threshold, all from one detection x ground-truth IoU matrix."""
     for t in thresholds:
         if not 0.0 < t < 1.0:
             raise ValueError(f"iou threshold {t} outside (0, 1)")
-    ious = _pair_ious(dets, gts)
+    ious = iou_matrix(dets.boxes, box_array(g.box for g in gts))
     return [match_detections(dets, gts, t, ious=ious) for t in thresholds]
-
-
-def _pair_ious(rows, cols) -> np.ndarray:
-    """IoU matrix between the boxes of two lists of proposals or ground truths."""
-    return iou_matrix(box_array(x.box for x in rows), box_array(x.box for x in cols))
 
 
 def mode_label(mode) -> str:
@@ -142,7 +135,7 @@ class RecallReport:
 
 
 def proposal_recall(
-    proposals_per_image: list[list[Proposal]],
+    proposals_per_image: list[Detections],
     gts_per_image: list[list[GroundTruthItem]],
     n_values=(50, 100, 300),
     modes=(0.5, 0.75, "avg"),
@@ -165,9 +158,9 @@ def proposal_recall(
     top = max(n_values, default=0)
     best = [np.zeros((len(n_values), 0))]
     for props, gts in zip(proposals_per_image, gts_per_image):
-        ranked = sorted(props, key=lambda p: -p.score)[:top]
-        care = [g for g in gts if not g.dont_care]
-        running = np.maximum.accumulate(np.vstack([np.zeros((1, len(care))), _pair_ious(ranked, care)]))
+        ranked = props.boxes.take(np.argsort(-props.scores, kind="stable")[:top], axis=0)
+        care = box_array(g.box for g in gts if not g.dont_care)
+        running = np.maximum.accumulate(np.vstack([np.zeros((1, len(care))), iou_matrix(ranked, care)]))
         best.append(running[[min(n, len(ranked)) for n in n_values]])
     best = np.concatenate(best, axis=1)
     care_total = best.shape[1]

@@ -12,9 +12,10 @@ Three annotation line formats are supported:
 
 Detection files are one line per box: ``image_id cx cy w h theta score``
 (space separated, six decimals). All readers accept LF or CRLF endings,
-skip blank lines and tolerate a UTF-8 byte-order mark. The detection
-reader parses a whole file at once and sends only the lines that fail its
-array checks through the per-line parser, which reports each one; the
+skip blank lines and tolerate a UTF-8 byte-order mark. Detections are
+read into and written from one :class:`~rboxkit.geom.Detections` record.
+The reader parses a whole file at once and sends only the lines that fail
+its array checks through the per-line parser, which reports each one; the
 writer checks every image id before it opens its file.
 """
 
@@ -26,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (
+    Detections,
     GroundTruthItem,
     Proposal,
     Quad,
     RotatedBox,
     _canonical_rows,
-    _proposals,
     _valid_rows,
     box_corners,
     quad_to_rotated_box,
@@ -234,33 +235,33 @@ def to_ground_truth(records, difficult_as_dont_care: bool = True) -> list[Ground
     return out
 
 
-def write_detection_file(path, records: list[tuple[str, Proposal]]) -> None:
-    """One ``image_id cx cy w h theta score`` line per proposal.
+def write_detection_file(path, records: Detections) -> None:
+    """One ``image_id cx cy w h theta score`` line per row of a detection record.
 
     Each distinct image id is checked before the file is opened, so an
     empty id or one with whitespace, which would not read back, leaves no
     file behind.
     """
-    for image_id in dict.fromkeys(image_id for image_id, _ in records):
+    image_ids = records.image_ids.tolist()
+    for image_id in dict.fromkeys(image_ids):
         if not image_id:
             raise ValueError("image id must not be empty")
         if any(ch.isspace() for ch in image_id):
             raise ValueError(f"image id {image_id!r} must not contain whitespace")
-    text = "".join(
-        _DETECTION_LINE % (image_id, p.box.cx, p.box.cy, p.box.w, p.box.h, p.box.theta, p.score)
-        for image_id, p in records
-    )
+    rows = zip(image_ids, *records.boxes.T.tolist(), records.scores.tolist())
+    text = "".join(map(_DETECTION_LINE.__mod__, rows))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def read_detection_file(path) -> tuple[list[tuple[str, Proposal]], list[ParseError]]:
+def read_detection_file(path) -> tuple[Detections, list[ParseError]]:
     """Inverse of :func:`write_detection_file`; failures are collected per line.
 
     The whole file is split into lines and fields at once, every number is
     converted with ``float`` and the rows are checked with array masks. Only
     the lines that fail those checks go through :func:`_parse_detection_line`,
-    which gives each its error and line number.
+    which gives each its error and line number. The good lines form one
+    record, in file order.
     """
     with open(path, encoding="utf-8-sig", errors="replace", newline=None) as fh:
         lines = fh.read().split("\n")
@@ -284,7 +285,7 @@ def read_detection_file(path) -> tuple[list[tuple[str, Proposal]], list[ParseErr
         except ParseError as e:
             errors.append(e)
     image_ids = [fields[k][0] for k in full[ok].tolist()]
-    return list(zip(image_ids, _proposals(rows[ok], values[ok, 5]))), errors
+    return Detections(image_ids, rows[ok], values[ok, 5]), errors
 
 
 def _float_or_nan(tok: str) -> float:
@@ -294,21 +295,23 @@ def _float_or_nan(tok: str) -> float:
         return math.nan
 
 
-def _parse_detection_line(line: str, lineno: int) -> tuple[str, Proposal]:
-    """One detection line, or the :class:`ParseError` that locates its fault."""
+def _parse_detection_line(line: str, lineno: int) -> None:
+    """Raise the :class:`ParseError` that locates a detection line's fault, if it has one."""
     parts = _clean(line).split()
     if len(parts) != 7:
         raise ParseError(f"expected 7 fields, found {len(parts)}", lineno)
     cx, cy, w, h, theta, score = [_float_field(tok, k + 2, lineno) for k, tok in enumerate(parts[1:])]
     try:
-        return parts[0], Proposal(box=RotatedBox.make(cx, cy, w, h, theta), score=score)
+        Proposal(box=RotatedBox.make(cx, cy, w, h, theta), score=score)
     except ValueError as e:
         raise GeometryError(str(e), lineno) from None
 
 
-def group_detections_by_image(records) -> dict[str, list[Proposal]]:
-    """Detection records keyed by image id, input order preserved."""
-    out: dict[str, list[Proposal]] = {}
-    for image_id, prop in records:
-        out.setdefault(image_id, []).append(prop)
-    return out
+def group_detections_by_image(records: Detections) -> dict[str, Detections]:
+    """Selections of a record by image id, ids in first-seen order, rows in record order."""
+    image_ids = records.image_ids.tolist()
+    codes = {image_id: k for k, image_id in enumerate(dict.fromkeys(image_ids))}
+    code = np.fromiter(map(codes.__getitem__, image_ids), dtype=np.intp, count=len(image_ids))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(code, minlength=len(codes)))]).tolist()
+    order = np.argsort(code, kind="stable")
+    return {image_id: records.take(order[lo:hi]) for image_id, lo, hi in zip(codes, bounds, bounds[1:])}

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,73 @@ def _proposals(rows: np.ndarray, scores: np.ndarray) -> list[Proposal]:
     return out
 
 
+class Detections(Sequence):
+    """Detections as one array record, one row each: image ids, boxes and scores.
+
+    ``image_ids`` is an (N,) object array of str, ``boxes`` an (N, 5) float64
+    array of canonical (cx, cy, w, h, theta) rows and ``scores`` an (N,)
+    float64 array, all read-only. The constructor raises the error of the
+    first row that fails the :class:`RotatedBox` or :class:`Proposal` checks.
+    As a read-only sequence of :class:`Proposal`, a record builds its objects
+    once, when first indexed or iterated; a selection (:meth:`take` or a
+    slice) yields the same objects as the record it was taken from.
+    """
+
+    __slots__ = ("image_ids", "boxes", "scores", "_base", "_rows", "_items")
+
+    def __init__(self, image_ids, boxes, scores):
+        ids = np.asarray(image_ids, dtype=object).reshape(-1)
+        rows = np.asarray(boxes, dtype=np.float64).reshape(-1, 5)
+        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+        if not len(ids) == len(rows) == len(scores):
+            raise ValueError(f"{len(ids)} image ids, {len(rows)} boxes and {len(scores)} scores")
+        bad = ~_valid_rows(rows, scores)
+        if bad.any():
+            _proposals(rows[bad][:1], scores[bad][:1])  # raises the first bad row's error
+        self._set(ids, rows, scores, None, None)
+
+    def _set(self, ids, rows, scores, base, picked) -> None:
+        self.image_ids, self.boxes, self.scores = ids.view(), rows.view(), scores.view()
+        for values in (self.image_ids, self.boxes, self.scores):
+            values.flags.writeable = False
+        self._base, self._rows, self._items = base, picked, None
+
+    @classmethod
+    def concat(cls, parts) -> "Detections":
+        """One record of the rows of ``parts`` in order."""
+        parts = [cls((), (), ()), *parts]
+        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("image_ids", "boxes", "scores")))
+
+    def take(self, rows) -> "Detections":
+        """The selection of ``rows`` (indices into this record), in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = object.__new__(Detections)
+        base = self if self._base is None else self._base
+        picked = rows if self._rows is None else self._rows.take(rows)
+        out._set(self.image_ids.take(rows), self.boxes.take(rows, axis=0), self.scores.take(rows), base, picked)
+        return out
+
+    def _objects(self) -> list[Proposal]:
+        if self._items is None:
+            if self._base is None:
+                self._items = _proposals(self.boxes, self.scores)
+            else:
+                items = self._base._objects()
+                self._items = [items[k] for k in self._rows.tolist()]
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        return self._objects()[key]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+
 @dataclass(frozen=True)
 class GroundTruthItem:
     box: RotatedBox
@@ -222,9 +290,6 @@ class Quad:
         """Build from four (x, y) pairs or Point2 values."""
         verts = tuple(p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1])) for p in pts)
         return cls(verts)  # type: ignore[arg-type]
-
-    def to_array(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.vertices], dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Each formula is one elementwise numpy function, with a separate gradient
 function. :func:`map_losses` averages them over cell masks; each scalar
-loss checks its inputs and evaluates them on 0-d values, and the tests
+loss checks its inputs and evaluates them on 0-d values (the focal loss on
+a one-element array, so it rounds like :func:`map_losses`), and the tests
 check its :class:`LossValue` gradient against central finite differences.
 """
 
@@ -58,11 +59,10 @@ class LossValue:
 
 
 def _focal(y, p, a, g):
-    """Focal loss of probability p for the 0/1 label y, on scalars or arrays.
+    """Focal loss of probabilities p for 0/1 labels y, both arrays.
 
-    Each cell evaluates its own branch only: on arrays the label-0 branch
-    runs on every cell, then the label-1 branch overwrites the cells where
-    y is 1.
+    Each cell evaluates its own branch only: the label-0 branch runs on
+    every cell, then the label-1 branch overwrites the cells where y is 1.
     """
 
     def neg(q):
@@ -71,8 +71,6 @@ def _focal(y, p, a, g):
     def pos(q):
         return -(a * (1.0 - q) ** g * np.log(q))
 
-    if np.ndim(p) == 0:
-        return pos(p) if y == 1 else neg(p)
     out = neg(p)
     on = y == 1
     out[on] = pos(p[on])
@@ -123,7 +121,9 @@ def focal_loss(y: int, y_prime: float, focal_alpha: float = 0.25, focal_gamma: f
     if y not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {y!r}")
     p, a, g = np.float64(y_prime), focal_alpha, focal_gamma
-    return LossValue(float(_focal(y, p, a, g)), np.array([_focal_grad(y, p, a, g)]))
+    # a one-element array takes the array power map_losses takes, so the two agree bit for bit
+    value = _focal(np.array([y]), np.array([p]), a, g)[0]
+    return LossValue(float(value), np.array([_focal_grad(y, p, a, g)]))
 
 
 def conf_loss(y: int, p: float) -> LossValue:

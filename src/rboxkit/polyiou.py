@@ -553,61 +553,3 @@ def _inside32(px, py, frame: tuple, scratch, out, tmp) -> None:
     np.multiply(dy, c, out=u)
     u -= np.multiply(dx, s, out=v)
     out &= np.less_equal(np.abs(u, out=u), hh, out=tmp)
-
-
-def convex_hull(points) -> np.ndarray:
-    """Convex hull by monotone chain, counter-clockwise, collinear points dropped."""
-    pts = sorted({(float(x), float(y)) for x, y in np.asarray(points, dtype=np.float64)})
-    if len(pts) < 3:
-        return np.array(pts, dtype=np.float64)
-
-    def build(seq):
-        chain: list[tuple[float, float]] = []
-        for p in seq:
-            while len(chain) >= 2:
-                ox, oy = chain[-2]
-                ax, ay = chain[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return np.array(lower[:-1] + upper[:-1], dtype=np.float64)
-
-
-def min_area_rect(points) -> RotatedBox:
-    """Minimum-area enclosing rotated rectangle of a point set.
-
-    Rotating calipers over the convex hull: the optimal rectangle has one
-    edge collinear with a hull edge, so trying every hull-edge direction
-    is exhaustive.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or len(pts) < 3:
-        raise ValueError("need at least 3 points")
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        raise ValueError("points are collinear; no enclosing rectangle with positive area")
-
-    best = None
-    n = len(hull)
-    for i in range(n):
-        ex, ey = hull[(i + 1) % n] - hull[i]
-        ang = math.atan2(ey, ex)
-        c, s = math.cos(ang), math.sin(ang)
-        u = hull[:, 0] * c + hull[:, 1] * s
-        v = hull[:, 1] * c - hull[:, 0] * s
-        u0, u1 = u.min(), u.max()
-        v0, v1 = v.min(), v.max()
-        area = (u1 - u0) * (v1 - v0)
-        if best is None or area < best[0]:
-            uc, vc = (u0 + u1) / 2.0, (v0 + v1) / 2.0
-            cx = uc * c - vc * s
-            cy = uc * s + vc * c
-            best = (area, cx, cy, u1 - u0, v1 - v0, ang)
-    _, cx, cy, w, h, ang = best
-    return RotatedBox.make(float(cx), float(cy), float(w), float(h), float(ang))

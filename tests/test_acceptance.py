@@ -26,6 +26,7 @@ from rboxkit.formats import (
 from rboxkit.geom import (
     AugmentTransform,
     Point2,
+    Proposal,
     RotatedBox,
     angle_distance,
     angle_to_unit,
@@ -37,7 +38,6 @@ from rboxkit.geom import (
 )
 from rboxkit.losses import angle_loss, conf_loss, focal_loss, shape_loss, smooth_l1
 from rboxkit.polyiou import box_array, iou, iou_matrix, iou_oracle
-from rboxkit.decode import Proposal
 from rboxkit.targets import (
     LevelSpec,
     ShapeCandidateSet,
@@ -49,6 +49,7 @@ from rboxkit.targets import (
     shape_decode,
     shape_encode,
 )
+from records import pairs, record, record_of_pairs
 
 PI = math.pi
 DATA = Path(__file__).parent / "data"
@@ -321,7 +322,7 @@ def test_criterion_07_tr_metric_correctness():
     props = [hits, [Proposal(box=RotatedBox(100, 100, 30, 12, 0.5), score=0.6)]]
     gts = [[g1], [g2]]
     n_values = (1, 2, 3)
-    rep = proposal_recall(props, gts, n_values=n_values, modes=(0.5, 0.75, "avg"))
+    rep = proposal_recall([record(p) for p in props], gts, n_values=n_values, modes=(0.5, 0.75, "avg"))
     for n in n_values:
         assert rep.get(n, 0.5) == _brute_force_tr(props, gts, n, 0.5)
         assert rep.get(n, 0.75) == _brute_force_tr(props, gts, n, 0.75)
@@ -343,7 +344,7 @@ def test_criterion_07_tr_metric_correctness():
             gts_pi.append(
                 [GroundTruthItem(box=random_box(rng, span=200, max_w=50)) for _ in range(n_g)]
             )
-        rep = proposal_recall(props_pi, gts_pi, n_values=(50, 100, 300))
+        rep = proposal_recall([record(p) for p in props_pi], gts_pi, n_values=(50, 100, 300))
         for mode in ("0.50", "0.75", "avg"):
             assert (
                 rep.values[(50, mode)] <= rep.values[(100, mode)] <= rep.values[(300, mode)]
@@ -437,10 +438,10 @@ def test_criterion_10_parser_golden_files(tmp_path):
         for k in range(50)
     ]
     path = tmp_path / "dets.txt"
-    write_detection_file(path, records)
+    write_detection_file(path, record_of_pairs(records))
     back, errors = read_detection_file(path)
     assert errors == []
-    for (ia, pa), (ib, pb) in zip(records, back):
+    for (ia, pa), (ib, pb) in zip(records, pairs(back)):
         assert ia == ib
         for f in ("cx", "cy", "w", "h", "theta"):
             assert abs(getattr(pa.box, f) - getattr(pb.box, f)) <= 1e-6

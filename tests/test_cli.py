@@ -1,18 +1,26 @@
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rboxkit
+from rboxkit import geom
 from rboxkit.cli import build_parser, main
-from rboxkit.decode import PredictionMaps, Proposal, save_prediction_maps
+from rboxkit.decode import PredictionMaps, save_prediction_maps
 from rboxkit.formats import read_detection_file, write_detection_file
-from rboxkit.geom import RotatedBox, rotated_box_to_quad
+from rboxkit.geom import Proposal, RotatedBox, rotated_box_to_quad
 from rboxkit.targets import LevelSpec
+from records import pairs, record, record_of_pairs
+from test_decode import cli_order, loop_decode, loop_nms, random_maps
+from test_formats import loop_read_detection_file, loop_write_detection_file
 
 PI = math.pi
 
@@ -44,7 +52,7 @@ def scene(tmp_path):
     for image_id, bs in boxes.items():
         for n, b in enumerate(bs):
             records.append((image_id, Proposal(box=b, score=0.9 - 0.1 * n)))
-    write_detection_file(det_file, records)
+    write_detection_file(det_file, record_of_pairs(records))
     return tmp_path, gt_dir, det_file, boxes
 
 
@@ -409,7 +417,7 @@ class TestLabelgenAndDecode:
 
         _, _, _, boxes = scene
         for image_id, gts in boxes.items():
-            decoded = [p.box for i, p in records if i == image_id]
+            decoded = [p.box for i, p in pairs(records) if i == image_id]
             for gt in gts:
                 assert max(iou(gt, d) for d in decoded) >= 0.5
 
@@ -428,7 +436,7 @@ class TestLabelgenAndDecode:
         )
         assert rc == 0
         records, _ = read_detection_file(det_file)
-        assert records == []
+        assert list(records) == []
 
     def test_decode_counts_monotone_in_threshold(self, scene, tmp_path, capsys):
         out_dir, _ = self.run_labelgen(scene, tmp_path, capsys)
@@ -527,21 +535,21 @@ class TestNms:
         b = RotatedBox(50, 50, 30, 12, 0.2)
         write_detection_file(
             det_file,
-            [("img", Proposal(box=b, score=0.9)), ("img", Proposal(box=b, score=0.8))],
+            record([Proposal(box=b, score=0.9), Proposal(box=b, score=0.8)]),
         )
         out_file = tmp_path / "out.txt"
         rc = main(["nms", "--detections", str(det_file), "--nms-iou", "0.3", "--output", str(out_file)])
         assert rc == 0
         records, _ = read_detection_file(out_file)
         assert len(records) == 1
-        assert records[0][1].score == pytest.approx(0.9)
+        assert records[0].score == pytest.approx(0.9)
 
     @pytest.mark.parametrize("thr", ["-1", "0", "1", "1.5"])
     def test_threshold_outside_unit_interval(self, tmp_path, capsys, thr):
         det_file = tmp_path / "in.txt"
         boxes = [RotatedBox(50 + 3 * k, 50, 30, 12, 0.2) for k in range(4)]
         write_detection_file(
-            det_file, [("img", Proposal(box=b, score=0.9 - 0.1 * k)) for k, b in enumerate(boxes)]
+            det_file, record([Proposal(box=b, score=0.9 - 0.1 * k) for k, b in enumerate(boxes)])
         )
         out_file = tmp_path / "out.txt"
         rc = main(["nms", "--detections", str(det_file), "--nms-iou", thr, "--output", str(out_file)])
@@ -754,3 +762,121 @@ class TestConvert:
             ]
         )
         assert rc == 1
+
+
+def run_main(argv):
+    """``main`` in process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def reference_stats(proposals, cells):
+    """``decode``'s stdout for a list of proposals, one ``math.log2`` per proposal."""
+    ratios = np.array([math.log2(p.box.w / p.box.h) for p in proposals])
+    angles = np.array([p.box.theta for p in proposals])
+    lines = [f"active\t{len(proposals)}", f"cells\t{cells}", f"fraction\t{len(proposals) / cells if cells else 0.0:.4f}"]
+    for name, values, lo, hi, bins, digits in (
+        ("aspect_log2", ratios, 0.0, 4.0, 16, 2),
+        ("angle", angles, -PI / 2, PI / 2, 18, 4),
+    ):
+        counts, edges = np.histogram(values, bins=np.linspace(lo, hi, bins + 1))
+        lines += [f"{name}\t{a:.{digits}f}\t{b:.{digits}f}\t{c}" for c, a, b in zip(counts, edges[:-1], edges[1:])]
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_nms(det_file, out_file, thr):
+    """``nms`` through the line loop reader, the pairwise NMS loop and the f-string writer; its stderr note."""
+    records, errors = loop_read_detection_file(det_file)
+    assert errors == []
+    groups = {}
+    for image_id, p in records:
+        groups.setdefault(image_id, []).append(p)
+    kept = [(i, p) for i in sorted(groups) for p in loop_nms(groups[i], thr)]
+    loop_write_detection_file(out_file, kept)
+    return f"kept {len(kept)} of {len(records)} detections\n"
+
+
+@st.composite
+def map_images(draw):
+    """Maps of 1-3 images plus one with no active cell, in an order that is not sorted by id.
+
+    Scores sit on a grid of eighths (ties), shape offsets make w < h cells
+    and orientations of exactly 0 and 1 put theta at -pi/2 and pi/2.
+    """
+    ids = draw(st.permutations(["b", "a9", "a10", "c"]))[: draw(st.integers(2, 4))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = {}
+    for k, image_id in enumerate(ids):
+        levels = [
+            LevelSpec(stride=s, k=5.0, grid_w=draw(st.integers(1, 5)), grid_h=draw(st.integers(1, 5)))
+            for s in draw(st.permutations([4, 8, 16]))[: draw(st.integers(1, 3))]
+        ]
+        active = 0.0 if k == len(ids) - 1 else draw(st.sampled_from([0.3, 0.7]))
+        images[image_id] = [random_maps(rng, lv, active) for lv in levels]
+    return images
+
+
+class TestDetectionRecordPath:
+    @given(
+        map_images(),
+        st.sampled_from([0.0, 0.125, 0.5]),
+        st.one_of(st.none(), st.sampled_from([0.1, 0.3, 0.5])),
+        st.one_of(st.none(), st.integers(1, 6)),
+        st.randoms(use_true_random=False),
+    )
+    def test_decode_then_nms_equal_the_reference_path(self, tmp_path_factory, images, t_a, nms_iou, top_n, shuffle):
+        tmp = tmp_path_factory.mktemp("record")
+        paths = []
+        for image_id, levels in images.items():
+            for maps in levels:
+                paths.append(tmp / f"{image_id}.s{maps.level.stride}.pmap")
+                save_prediction_maps(maps, paths[-1])
+        argv = ["decode", *paths, "--t-a", t_a, "--output", tmp / "dec.txt"]
+        argv += ["--no-nms"] if nms_iou is None else ["--nms-iou", nms_iou]
+        argv += [] if top_n is None else ["--top-n", top_n]
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, "")
+
+        want, cells = [], 0
+        for image_id in sorted(images):
+            levels = sorted(images[image_id], key=lambda m: m.level.stride)
+            cells += sum(m.level.grid_w * m.level.grid_h for m in levels)
+            props = cli_order([loop_decode(m, t_a) for m in levels])
+            props = props if nms_iou is None else loop_nms(props, nms_iou)
+            want += [(image_id, p) for p in props[:top_n]]
+        loop_write_detection_file(tmp / "want.txt", want)
+        assert out == reference_stats([p for _, p in want], cells)
+        assert (tmp / "dec.txt").read_bytes() == (tmp / "want.txt").read_bytes()
+
+        # nms on the decoded file, and on its lines in another order
+        lines = (tmp / "dec.txt").read_text().splitlines(keepends=True)
+        shuffle.shuffle(lines)
+        (tmp / "shuffled.txt").write_text("".join(lines))
+        for name in ("dec.txt", "shuffled.txt"):
+            code, out, err = run_main(["nms", "--detections", tmp / name, "--output", tmp / "kept.txt"])
+            note = reference_nms(tmp / name, tmp / "want_kept.txt", 0.3)
+            assert (code, out, err) == (0, "", note)
+            assert (tmp / "kept.txt").read_bytes() == (tmp / "want_kept.txt").read_bytes()
+
+    def test_batch_commands_build_no_proposal(self, scene, tmp_path, monkeypatch):
+        _, gt_dir, det_file, _ = scene
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Proposal was built")
+
+        monkeypatch.setattr(geom, "_proposals", refuse)
+        monkeypatch.setattr(geom.Proposal, "__init__", refuse)
+        gt = ["--gt", gt_dir, "--gt-format", "icdar15"]
+        maps = tmp_path / "maps"
+        assert run_main(["labelgen", *gt, "--image-width", 512, "--image-height", 384, "--output", maps])[0] == 0
+        tmaps = sorted(maps.glob("*.tmap"))
+        decoded, kept = tmp_path / "decoded.txt", tmp_path / "kept.txt"
+        assert run_main(["decode", *tmaps, "--top-n", 50, "--output", tmp_path / "top.txt"])[0] == 0
+        assert run_main(["decode", *tmaps, "--no-nms", "--output", decoded])[0] == 0
+        assert run_main(["nms", "--detections", decoded, "--output", kept])[0] == 0
+        for dets in (det_file, kept):
+            assert run_main(["evaluate", "--detections", dets, *gt])[0] == 0
+            assert run_main(["proposal-recall", "--proposals", dets, *gt])[0] == 0
+        assert read_detection_file(kept)[0].boxes.shape[1] == 5

@@ -9,7 +9,6 @@ from rboxkit import polyiou
 from rboxkit.decode import (
     AnchorStats,
     PredictionMaps,
-    Proposal,
     anchor_statistics,
     decode_anchors,
     ideal_predictions,
@@ -17,8 +16,9 @@ from rboxkit.decode import (
     polygon_nms,
     save_prediction_maps,
 )
-from rboxkit.geom import RotatedBox, unit_to_angle
+from rboxkit.geom import Proposal, RotatedBox, unit_to_angle
 from rboxkit.polyiou import iou
+from records import record
 from rboxkit.targets import LevelSpec, cell_center, generate_targets, make_levels, shape_decode
 
 PI = math.pi
@@ -98,7 +98,7 @@ class TestDecodeMatchesCellLoop:
             want = [loop_decode(m, t_a) for m in maps]
             for g, w in zip(got, want):
                 assert fields(g) == fields(w)
-                assert g == w
+                assert list(g) == w
             assert fields(cli_order(got)) == fields(cli_order(want))
 
     def test_w_below_h_and_orientation_bounds(self):
@@ -154,7 +154,7 @@ class TestDecodeMatchesCellLoop:
 
 class TestDecodeAnchors:
     def test_empty_map(self):
-        assert decode_anchors(blank_maps(level())) == []
+        assert list(decode_anchors(blank_maps(level()))) == []
 
     def test_single_active_cell(self):
         maps = blank_maps(level())
@@ -172,7 +172,7 @@ class TestDecodeAnchors:
     def test_threshold_one_blocks_everything(self):
         maps = blank_maps(level())
         maps.location_prob[:] = 1.0
-        assert decode_anchors(maps, t_a=1.0) == []
+        assert list(decode_anchors(maps, t_a=1.0)) == []
 
     def test_threshold_is_strict(self):
         maps = blank_maps(level())
@@ -207,7 +207,7 @@ class TestDecodeAnchors:
         maps.orientation[:] = rng.random((12, 12), dtype=np.float32)
         a = decode_anchors(maps, t_a=0.5)
         b = decode_anchors(maps, t_a=0.5)
-        assert a == b
+        assert list(a) == list(b)
 
     @pytest.mark.parametrize("t_a", [-0.1, 1.5])
     def test_threshold_outside_unit_interval_rejected(self, t_a):
@@ -275,17 +275,17 @@ def clusters_with_copies(draw):
 class TestPolygonNms:
     def test_single_proposal(self):
         p = prop(0, 0, 10, 5, 0.2, 0.7)
-        assert polygon_nms([p], 0.3) == [p]
+        assert list(polygon_nms(record([p]), 0.3)) == [p]
 
     def test_duplicate_suppressed(self):
         a = prop(0, 0, 10, 5, 0.0, 0.9)
         b = prop(0, 0, 10, 5, 0.0, 0.8)
-        assert polygon_nms([a, b], 0.3) == [a]
+        assert list(polygon_nms(record([a, b]), 0.3)) == [a]
 
     def test_disjoint_kept_in_score_order(self):
         a = prop(0, 0, 10, 5, 0.0, 0.8)
         b = prop(100, 100, 10, 5, 0.0, 0.9)
-        assert polygon_nms([a, b], 0.3) == [b, a]
+        assert list(polygon_nms(record([a, b]), 0.3)) == [b, a]
 
     def test_idempotent(self):
         rng = np.random.default_rng(41)
@@ -300,9 +300,9 @@ class TestPolygonNms:
             )
             for _ in range(60)
         ]
-        once = polygon_nms(props, 0.3)
+        once = polygon_nms(record(props), 0.3)
         twice = polygon_nms(once, 0.3)
-        assert once == twice
+        assert list(once) == list(twice)
 
     def test_no_surviving_overlap(self):
         rng = np.random.default_rng(43)
@@ -317,7 +317,7 @@ class TestPolygonNms:
             )
             for _ in range(50)
         ]
-        kept = polygon_nms(props, 0.3)
+        kept = polygon_nms(record(props), 0.3)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 assert iou(kept[i].box, kept[j].box) <= 0.3
@@ -335,7 +335,7 @@ class TestPolygonNms:
             )
             for _ in range(50)
         ]
-        kept = polygon_nms(props, 0.3)
+        kept = polygon_nms(record(props), 0.3)
         dropped = [p for p in props if p not in kept]
         for d in dropped:
             assert any(
@@ -359,7 +359,7 @@ class TestPolygonNms:
             ]
             props += props[:3]  # exact duplicates
             for thr in (0.1, 0.3, 0.7):
-                assert polygon_nms(props, thr) == loop_nms(props, thr)
+                assert list(polygon_nms(record(props), thr)) == loop_nms(props, thr)
 
     def test_axis_aligned_chain_needs_no_exact_iou(self, monkeypatch):
         # each box overlaps the next at IoU 7/13 and the one after at 4/16:
@@ -371,7 +371,7 @@ class TestPolygonNms:
         calls = []
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: calls.append(args[2]) or exact(*args))
-        assert polygon_nms(props, 0.3) == [a, c, e]
+        assert list(polygon_nms(record(props), 0.3)) == [a, c, e]
         assert calls == []
 
     def test_chain_needs_several_rounds(self, monkeypatch):
@@ -385,17 +385,17 @@ class TestPolygonNms:
         rounds = []
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: rounds.append(args[2]) or exact(*args))
-        assert polygon_nms(chain[::-1], 0.3) == [a, c, e, g]
+        assert list(polygon_nms(record(chain[::-1]), 0.3)) == [a, c, e, g]
         assert len(rounds) == 3
 
     @given(clustered_proposals(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     def test_matches_pairwise_loop_property(self, props, thr):
-        assert polygon_nms(props, thr) == loop_nms(props, thr)
+        assert list(polygon_nms(record(props), thr)) == loop_nms(props, thr)
 
     @given(clusters_with_copies(), st.sampled_from([0.1, 0.3, 1.0 / 3.0, 0.5, 0.7]))
     def test_matches_pairwise_loop_with_copies(self, props, thr):
         # a copy shifted by half a side reads IoU 1/3, a threshold the bounds cannot decide
-        assert polygon_nms(props, thr) == loop_nms(props, thr)
+        assert list(polygon_nms(record(props), thr)) == loop_nms(props, thr)
 
     def test_exact_iou_only_from_kept_boxes(self, monkeypatch):
         rng = np.random.default_rng(59)
@@ -421,19 +421,19 @@ class TestPolygonNms:
 
 class TestAnchorStatistics:
     def test_empty(self):
-        st = anchor_statistics([], 100)
+        st = anchor_statistics(record([]), 100)
         assert st.count == 0
         assert st.fraction == 0.0
         assert st.aspect_log2_hist[0].sum() == 0
 
     def test_fraction(self):
         props = [prop(i * 30.0, 0, 10, 5, 0.0, 0.5) for i in range(100)]
-        st = anchor_statistics(props, 10_000)
+        st = anchor_statistics(record(props), 10_000)
         assert st.fraction == pytest.approx(0.01)
 
     def test_aspect_mass_at_log2_one(self):
         props = [prop(0, 0, 12, 6, 0.1, 0.5) for _ in range(20)]
-        st = anchor_statistics(props, 100)
+        st = anchor_statistics(record(props), 100)
         counts, edges = st.aspect_log2_hist
         bin_of_one = np.searchsorted(edges, 1.0, side="right") - 1
         assert counts[bin_of_one] == 20

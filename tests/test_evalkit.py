@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from rboxkit.decode import Proposal
 from rboxkit.evalkit import (
     AVG_THRESHOLDS,
     EvalReport,
@@ -19,8 +18,9 @@ from rboxkit.evalkit import (
     recall_machine_lines,
     sweep_report,
 )
-from rboxkit.geom import RotatedBox
+from rboxkit.geom import Proposal, RotatedBox
 from rboxkit.polyiou import box_array, iou, iou_matrix
+from records import record
 
 PI = math.pi
 
@@ -57,18 +57,18 @@ class TestMatchDetections:
     def test_perfect_match(self):
         gts = [gt(10, 10), gt(60, 60)]
         dets = [det(10, 10, 0.9), det(60, 60, 0.8)]
-        r = match_detections(dets, gts, 0.5)
+        r = match_detections(record(dets), gts, 0.5)
         assert (r.precision, r.recall, r.f_measure) == (1.0, 1.0, 1.0)
         assert r.matched == 2
 
     def test_half_recall(self):
-        r = match_detections([det(10, 10, 0.9)], [gt(10, 10), gt(60, 60)], 0.5)
+        r = match_detections(record([det(10, 10, 0.9)]), [gt(10, 10), gt(60, 60)], 0.5)
         assert r.precision == 1.0
         assert r.recall == 0.5
         assert r.f_measure == pytest.approx(2 / 3)
 
     def test_dont_care_only(self):
-        r = match_detections([det(10, 10, 0.9)], [gt(10, 10, dont_care=True)], 0.5)
+        r = match_detections(record([det(10, 10, 0.9)]), [gt(10, 10, dont_care=True)], 0.5)
         assert (r.precision, r.recall, r.f_measure) == (0.0, 0.0, 0.0)
         assert r.num_detections == 0 and r.num_gt == 0
 
@@ -77,16 +77,16 @@ class TestMatchDetections:
         d = det(10, 10, 0.9)
         dc = gt(10, 10, dont_care=True)
         thr = iou(d.box, dc.box)  # 1.0 here
-        r = match_detections([d], [dc, gt(60, 60)], 0.5)
+        r = match_detections(record([d]), [dc, gt(60, 60)], 0.5)
         assert r.num_detections == 0
         shifted = det(10 + 25, 10, 0.9)  # disjoint from the don't-care
-        r2 = match_detections([shifted], [dc, gt(60, 60)], 0.5)
+        r2 = match_detections(record([shifted]), [dc, gt(60, 60)], 0.5)
         assert r2.num_detections == 1
 
     def test_one_to_one(self):
         # two detections on one gt: a single match, the duplicate hurts precision
         dets = [det(10, 10, 0.9), det(10.5, 10, 0.8)]
-        r = match_detections(dets, [gt(10, 10)], 0.5)
+        r = match_detections(record(dets), [gt(10, 10)], 0.5)
         assert r.matched == 1
         assert r.precision == 0.5
         assert r.recall == 1.0
@@ -95,7 +95,7 @@ class TestMatchDetections:
         rng = np.random.default_rng(3)
         for _ in range(50):
             dets, gts = random_scene(rng, int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-            r = match_detections(dets, gts, 0.5)
+            r = match_detections(record(dets), gts, 0.5)
             assert r.matched <= min(r.num_detections, r.num_gt)
 
     def test_greedy_vs_optimal_on_small_scenes(self):
@@ -106,7 +106,7 @@ class TestMatchDetections:
         for _ in range(60):
             dets, gts = random_scene(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
             gts = [GroundTruthItem(box=g.box, dont_care=False) for g in gts]
-            r = match_detections(dets, gts, 0.3)
+            r = match_detections(record(dets), gts, 0.3)
             n, m = len(dets), len(gts)
             # one matrix per scene; its entries equal scalar iou bit for bit
             ious = iou_matrix(box_array(d.box for d in dets), box_array(g.box for g in gts))
@@ -158,7 +158,7 @@ class TestMatchDetections:
                 for g in gts + gts[:4]
             ] + random_scene(rng, 8, 0)[0]
             for thr in (0.3, 0.5, 0.75):
-                r = match_detections(dets, gts, thr)
+                r = match_detections(record(dets), gts, thr)
                 assert (r.matched, r.num_detections, r.num_gt) == loop_match(dets, gts, thr)
 
     def test_given_ious_match_computed(self):
@@ -166,20 +166,20 @@ class TestMatchDetections:
         dets, gts = random_scene(rng, 30, 10)
         ious = np.array([[iou(d.box, g.box) for g in gts] for d in dets])
         for thr in (0.3, 0.5):
-            assert match_detections(dets, gts, thr, ious=ious) == match_detections(dets, gts, thr)
+            assert match_detections(record(dets), gts, thr, ious=ious) == match_detections(record(dets), gts, thr)
         with pytest.raises(ValueError):
-            match_detections(dets, gts, 0.5, ious=ious[:, :-1])
+            match_detections(record(dets), gts, 0.5, ious=ious[:, :-1])
 
 
 class TestSweepReport:
     def test_perfect_rows(self):
         gts = [gt(10, 10)]
         dets = [det(10, 10, 0.9)]
-        rows = sweep_report(dets, gts, [0.5, 0.75])
+        rows = sweep_report(record(dets), gts, [0.5, 0.75])
         assert all(r.f_measure == 1.0 for r in rows)
 
     def test_empty_detections(self):
-        rows = sweep_report([], [gt(10, 10)], [0.5, 0.75])
+        rows = sweep_report(record([]), [gt(10, 10)], [0.5, 0.75])
         assert all(r.recall == 0.0 for r in rows)
 
     def test_mid_iou_detection_counts_only_below(self):
@@ -187,33 +187,33 @@ class TestSweepReport:
         d = det(4, 0, 0.9, 20, 10)  # overlap 16/24 = 2/3 along x
         v = iou(d.box, g.box)
         assert 0.5 < v < 0.75
-        rows = sweep_report([d], [g], [0.5, 0.75])
+        rows = sweep_report(record([d]), [g], [0.5, 0.75])
         assert rows[0].matched == 1
         assert rows[1].matched == 0
 
     def test_recall_non_increasing(self):
         rng = np.random.default_rng(7)
         dets, gts = random_scene(rng, 10, 6)
-        rows = sweep_report(dets, gts, [0.3, 0.5, 0.7, 0.9])
+        rows = sweep_report(record(dets), gts, [0.3, 0.5, 0.7, 0.9])
         recalls = [r.recall for r in rows]
         assert recalls == sorted(recalls, reverse=True)
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
-            sweep_report([], [], [1.5])
+            sweep_report(record([]), [], [1.5])
 
 
 class TestCombineReports:
     def test_counts_add(self):
-        a = match_detections([det(10, 10, 0.9)], [gt(10, 10)], 0.5)
-        b = match_detections([], [gt(50, 50)], 0.5)
+        a = match_detections(record([det(10, 10, 0.9)]), [gt(10, 10)], 0.5)
+        b = match_detections(record([]), [gt(50, 50)], 0.5)
         c = combine_reports([a, b])
         assert c.matched == 1 and c.num_gt == 2
         assert c.recall == 0.5
 
     def test_threshold_mismatch(self):
-        a = match_detections([], [], 0.5)
-        b = match_detections([], [], 0.75)
+        a = match_detections(record([]), [], 0.5)
+        b = match_detections(record([]), [], 0.75)
         with pytest.raises(ValueError):
             combine_reports([a, b])
 
@@ -238,7 +238,7 @@ class TestProposalRecall:
         d = det(4, 0, 0.9, 20, 10)
         v = iou(d.box, g.box)
         assert 0.6 < v < 0.7
-        rep = proposal_recall([[d]], [[g]], n_values=(50,), modes=(0.5, 0.75, "avg"))
+        rep = proposal_recall([record([d])], [[g]], n_values=(50,), modes=(0.5, 0.75, "avg"))
         assert rep.get(50, 0.5) == 1.0
         assert rep.get(50, 0.75) == 0.0
         # recalled at 0.50, 0.55, 0.60, 0.65 of the ten averaged thresholds
@@ -248,7 +248,7 @@ class TestProposalRecall:
     def test_perfect_proposals(self):
         gts = [[gt(10, 10)], [gt(30, 30), gt(90, 90)]]
         props = [[det(10, 10, 0.9)], [det(30, 30, 0.8), det(90, 90, 0.7)]]
-        rep = proposal_recall(props, gts)
+        rep = proposal_recall([record(p) for p in props], gts)
         assert all(v == 1.0 for v in rep.values.values())
 
     def test_matches_brute_force(self):
@@ -259,7 +259,7 @@ class TestProposalRecall:
             props.append(d)
             gts.append(g)
         n_values = (1, 3, 10)
-        rep = proposal_recall(props, gts, n_values=n_values, modes=(0.5, 0.75, "avg"))
+        rep = proposal_recall([record(p) for p in props], gts, n_values=n_values, modes=(0.5, 0.75, "avg"))
         for n in n_values:
             assert rep.get(n, 0.5) == brute_force_tr(props, gts, n, 0.5)
             assert rep.get(n, 0.75) == brute_force_tr(props, gts, n, 0.75)
@@ -274,7 +274,7 @@ class TestProposalRecall:
                 d, g = random_scene(rng, int(rng.integers(0, 20)), int(rng.integers(1, 5)))
                 props.append(d)
                 gts.append(g)
-            rep = proposal_recall(props, gts, n_values=(5, 10, 50))
+            rep = proposal_recall([record(p) for p in props], gts, n_values=(5, 10, 50))
             for mode in ("0.50", "0.75", "avg"):
                 assert (
                     rep.values[(5, mode)] <= rep.values[(10, mode)] <= rep.values[(50, mode)]
@@ -285,16 +285,16 @@ class TestProposalRecall:
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            proposal_recall([[]], [[]], n_values=(0,))
+            proposal_recall([record([])], [[]], n_values=(0,))
 
     def test_misaligned_lists(self):
         with pytest.raises(ValueError):
-            proposal_recall([[]], [])
+            proposal_recall([record([])], [])
 
 
 class TestFormatting:
     def test_recall_table_shape(self):
-        rep = proposal_recall([[det(10, 10, 0.9)]], [[gt(10, 10)]])
+        rep = proposal_recall([record([det(10, 10, 0.9)])], [[gt(10, 10)]])
         table = format_recall_table(rep)
         lines = table.splitlines()
         assert len(lines) == 4  # header + three modes
@@ -302,12 +302,12 @@ class TestFormatting:
         assert "100.0" in lines[1]
 
     def test_machine_lines_format(self):
-        rep = proposal_recall([[det(10, 10, 0.9)]], [[gt(10, 10)]], n_values=(50,), modes=(0.5,))
+        rep = proposal_recall([record([det(10, 10, 0.9)])], [[gt(10, 10)]], n_values=(50,), modes=(0.5,))
         lines = recall_machine_lines(rep)
         assert lines == ["TR\t50\t0.50\t1.0000"]
 
     def test_eval_machine_lines(self):
-        rows = sweep_report([det(10, 10, 0.9)], [gt(10, 10)], [0.5])
+        rows = sweep_report(record([det(10, 10, 0.9)]), [gt(10, 10)], [0.5])
         lines = eval_machine_lines(rows)
         assert "precision\t-\t0.50\t1.0000" in lines
         assert "recall\t-\t0.50\t1.0000" in lines

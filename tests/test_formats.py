@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rboxkit.decode import Proposal
 from rboxkit.formats import (
     AnnotationRecord,
     GeometryError,
@@ -24,7 +23,8 @@ from rboxkit.formats import (
     to_ground_truth,
     write_detection_file,
 )
-from rboxkit.geom import Quad, RotatedBox, quad_to_rotated_box
+from rboxkit.geom import Proposal, Quad, RotatedBox, quad_to_rotated_box
+from records import pairs, record, record_of_pairs
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,11 +211,11 @@ class TestWriteRead:
             )
             records.append((f"img_{k % 4}", Proposal(box=box, score=float(rng.random()))))
         p = tmp_path / "dets.txt"
-        write_detection_file(p, records)
+        write_detection_file(p, record_of_pairs(records))
         back, errors = read_detection_file(p)
         assert errors == []
         assert len(back) == len(records)
-        for (id_a, pa), (id_b, pb) in zip(records, back):
+        for (id_a, pa), (id_b, pb) in zip(records, pairs(back)):
             assert id_a == id_b
             assert abs(pa.box.cx - pb.box.cx) < 1e-6
             assert abs(pa.box.cy - pb.box.cy) < 1e-6
@@ -228,7 +228,7 @@ class TestWriteRead:
         p = tmp_path / "empty.txt"
         p.write_text("")
         records, errors = read_detection_file(p)
-        assert records == [] and errors == []
+        assert list(records) == [] and errors == []
 
     def test_bad_lines_collected_with_numbers(self, tmp_path):
         p = tmp_path / "dets.txt"
@@ -252,8 +252,12 @@ class TestWriteRead:
         )
         records, _ = read_detection_file(p)
         groups = group_detections_by_image(records)
-        assert sorted(groups) == ["a", "b"]
+        assert list(groups) == ["b", "a"]
         assert len(groups["b"]) == 2
+        # each group is a selection of the record, in file order, with the record's objects
+        assert [p is q for p, q in zip(groups["b"], [records[0], records[2]])] == [True, True]
+        assert groups["a"].image_ids.tolist() == ["a"]
+        assert group_detections_by_image(record([])) == {}
 
 
 def loop_read_detection_file(path):
@@ -304,7 +308,7 @@ def loop_write_detection_file(path, records):
 
 def assert_reads_like_loop(path):
     got, want = read_detection_file(path), loop_read_detection_file(path)
-    assert got[0] == want[0]
+    assert pairs(got[0]) == want[0]
     assert [(type(e), str(e), e.lineno) for e in got[1]] == [(type(e), str(e), e.lineno) for e in want[1]]
     return got
 
@@ -386,13 +390,13 @@ class TestDetectionWriterMatchesFString:
         records.append(("edge", Proposal(box=RotatedBox(-0.0, 1e300, 1e300, 5e-324, -PI / 2), score=-0.0)))
         records.append(("half", Proposal(box=RotatedBox(0.0000005, 2.5e-7, 1.0000005, 0.0000015, 0.0), score=1.5)))
         got, want = tmp_path / "got.txt", tmp_path / "want.txt"
-        write_detection_file(got, records)
+        write_detection_file(got, record_of_pairs(records))
         loop_write_detection_file(want, records)
         assert got.read_bytes() == want.read_bytes()
 
     def test_empty(self, tmp_path):
         p = tmp_path / "dets.txt"
-        write_detection_file(p, [])
+        write_detection_file(p, record([]))
         assert p.read_bytes() == b""
 
     @pytest.mark.parametrize("bad_id", ["img 1", "img\t1", "img\u20281"])
@@ -400,11 +404,11 @@ class TestDetectionWriterMatchesFString:
         good = Proposal(box=RotatedBox(10, 10, 20, 10, 0.0), score=0.9)
         p = tmp_path / "dets.txt"
         with pytest.raises(ValueError, match="must not contain whitespace"):
-            write_detection_file(p, [("ok", good), (bad_id, good)])
+            write_detection_file(p, record_of_pairs([("ok", good), (bad_id, good)]))
         assert not p.exists()
         p.write_text("kept\n")
         with pytest.raises(ValueError) as e:
-            write_detection_file(p, [("ok", good), (bad_id, good), ("b 2", good)])
+            write_detection_file(p, record_of_pairs([("ok", good), (bad_id, good), ("b 2", good)]))
         assert str(e.value) == f"image id {bad_id!r} must not contain whitespace"
         assert p.read_text() == "kept\n"
 
@@ -414,7 +418,7 @@ class TestDetectionWriterMatchesFString:
         good = Proposal(box=RotatedBox(10, 10, 20, 10, 0.0), score=0.9)
         p = tmp_path / "dets.txt"
         with pytest.raises(ValueError, match="image id must not be empty"):
-            write_detection_file(p, [("ok", good), ("", good)])
+            write_detection_file(p, record_of_pairs([("ok", good), ("", good)]))
         assert not p.exists()
 
 

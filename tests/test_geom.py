@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rboxkit import geom
 from rboxkit.geom import (
     AugmentTransform,
+    Detections,
     Point2,
     Proposal,
     Quad,
@@ -174,6 +176,63 @@ class TestRowHelpers:
             got = _proposals(rows, scores)
             assert got == want
             assert [type(p.box.cx) for p in got] == [float] * len(got)
+
+
+def three_rows():
+    rows = [(1.0, 2.0, 8.0, 4.0, 0.1), (5.0, 6.0, 9.0, 3.0, -0.2), (7.0, 1.0, 6.0, 6.0, 0.0)]
+    return Detections(["b", "a", "b"], rows, [0.5, 0.9, 0.7])
+
+
+class TestDetections:
+    def test_sequence_of_proposals(self):
+        rec = three_rows()
+        assert len(rec) == 3
+        assert list(rec) == _proposals(rec.boxes, rec.scores)
+        assert rec[1] == Proposal(RotatedBox(5.0, 6.0, 9.0, 3.0, -0.2), 0.9)
+        assert rec[-1] is rec[2]
+        assert rec.image_ids.tolist() == ["b", "a", "b"]
+
+    def test_proposals_built_once_per_record(self, monkeypatch):
+        rec = three_rows()
+        calls = []
+        build = geom._proposals
+        monkeypatch.setattr(geom, "_proposals", lambda *a: calls.append(1) or build(*a))
+        first = list(rec)
+        assert [p is q for p, q in zip(first, rec)] == [True] * 3
+        sub = rec.take([2, 0])
+        assert [sub[0], sub[1]] == [first[2], first[0]] and sub[0] is first[2]
+        assert len(calls) == 1
+
+    def test_selections_share_their_base_objects(self):
+        rec = three_rows()
+        sub = rec.take([2, 0, 1])[1:]
+        assert sub.scores.tolist() == [0.5, 0.9]
+        assert sub.image_ids.tolist() == ["b", "a"]
+        # iterating the selection first still yields the base record's objects
+        assert [id(p) for p in sub] == [id(rec[0]), id(rec[1])]
+        assert len(rec[5:]) == 0
+
+    def test_constructor_raises_the_first_bad_row(self):
+        with pytest.raises(ValueError, match="w must be the long side"):
+            Detections(["a", "a"], [(0, 0, 4, 2, 0), (0, 0, 2, 4, 0)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="score must be finite"):
+            Detections(["a"], [(0, 0, 4, 2, 0)], [math.nan])
+        with pytest.raises(ValueError, match="2 image ids, 1 boxes and 1 scores"):
+            Detections(["a", "b"], [(0, 0, 4, 2, 0)], [0.5])
+
+    def test_read_only(self):
+        rec = three_rows()
+        for a in (rec.image_ids, rec.boxes, rec.scores, rec.take([1]).boxes):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_concat(self):
+        rec = three_rows()
+        both = Detections.concat([rec.take([1]), rec])
+        assert both.image_ids.tolist() == ["a", "b", "a", "b"]
+        assert both.boxes.tolist() == [rec.boxes[1].tolist(), *rec.boxes.tolist()]
+        assert len(Detections.concat([])) == 0
+        assert Detections.concat([]).boxes.shape == (0, 5)
 
 
 class TestQuadToRotatedBox:

@@ -160,17 +160,18 @@ class TestFocalBranches:
         st.one_of(st.just(2.0), st.floats(0.0, 4.0)),
     )
     def test_each_branch_equals_two_branch_formula(self, case, a, g):
-        # bit for bit, on arrays (bool or 0/1 labels) and on the 0-d values focal_loss
-        # passes, whose scalar power may round apart from the array one
+        # bit for bit, with bool or 0/1 labels
         p, label = case
         want = two_branch_focal(label.astype(np.float64), p, a, g)
         assert _focal(label, p, a, g).tobytes() == want.tobytes()
         assert _focal(label.astype(np.int64), p, a, g).tobytes() == want.tobytes()
-        for y, q in zip(label, p):
-            got = _focal(int(y), np.float64(q), a, g)
-            assert np.ndim(got) == 0
-            want = two_branch_focal(int(y), np.float64(q), a, g)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_scalar_loss_equals_map_cell(self, y):
+        # numpy's scalar power rounds this p's p**2 apart from its array power
+        p = 0.5169081302257749
+        want = _focal(np.array([y == 1]), np.array([p]), 0.25, 2.0)[0]
+        assert np.float64(focal_loss(y, p).value).tobytes() == want.tobytes()
 
 
 class TestConfLoss:

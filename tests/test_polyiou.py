@@ -10,11 +10,9 @@ from rboxkit.geom import RotatedBox, box_corners
 from rboxkit.polyiou import (
     box_array,
     clip_convex,
-    convex_hull,
     iou,
     iou_matrix,
     iou_oracle,
-    min_area_rect,
     polygon_area,
 )
 
@@ -446,65 +444,3 @@ class TestIouOracle:
         b = RotatedBox(0, 0, 2, 1, 0)
         with pytest.raises(ValueError):
             iou_oracle(b, b, samples=100, seed=0)
-
-
-class TestConvexHull:
-    def test_square_with_interior_points(self):
-        pts = np.vstack([UNIT_SQUARE, [[0.5, 0.5], [0.2, 0.8]]])
-        hull = convex_hull(pts)
-        assert sorted(map(tuple, hull)) == sorted(map(tuple, UNIT_SQUARE))
-
-    def test_ccw_orientation(self):
-        rng = np.random.default_rng(71)
-        pts = rng.uniform(-5, 5, size=(40, 2))
-        hull = convex_hull(pts)
-        x, y = hull[:, 0], hull[:, 1]
-        area2 = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)
-        assert area2 > 0
-
-
-class TestMinAreaRect:
-    def test_axis_aligned_rectangle(self):
-        r = min_area_rect([(0, 0), (6, 0), (6, 2), (0, 2)])
-        assert (r.cx, r.cy) == pytest.approx((3, 1))
-        assert (r.w, r.h) == pytest.approx((6, 2))
-        assert r.theta == pytest.approx(0.0, abs=1e-12)
-
-    def test_rotated_rectangle_recovered(self):
-        b = RotatedBox(5, -3, 12, 5, 0.6)
-        r = min_area_rect(box_corners(b))
-        assert r.cx == pytest.approx(b.cx, abs=1e-6)
-        assert r.cy == pytest.approx(b.cy, abs=1e-6)
-        assert r.w == pytest.approx(b.w, abs=1e-6)
-        assert r.h == pytest.approx(b.h, abs=1e-6)
-        assert abs(r.theta - b.theta) < 1e-6
-
-    def test_collinear_rejected(self):
-        with pytest.raises(ValueError):
-            min_area_rect([(0, 0), (1, 1), (2, 2), (3, 3)])
-
-    def test_contains_all_points(self):
-        rng = np.random.default_rng(73)
-        for _ in range(50):
-            pts = rng.uniform(-20, 20, size=(20, 2))
-            r = min_area_rect(pts)
-            c, s = math.cos(r.theta), math.sin(r.theta)
-            dx = pts[:, 0] - r.cx
-            dy = pts[:, 1] - r.cy
-            u = dx * c + dy * s
-            v = dy * c - dx * s
-            assert np.all(np.abs(u) <= r.w / 2 + 1e-9)
-            assert np.all(np.abs(v) <= r.h / 2 + 1e-9)
-
-    def test_beats_angle_sweep(self):
-        # brute force: enclosing rectangle swept at 0.5 degree steps
-        rng = np.random.default_rng(79)
-        for _ in range(20):
-            pts = rng.uniform(-15, 15, size=(20, 2))
-            r = min_area_rect(pts)
-            for ang in np.arange(0.0, PI, math.radians(0.5)):
-                c, s = math.cos(ang), math.sin(ang)
-                u = pts[:, 0] * c + pts[:, 1] * s
-                v = pts[:, 1] * c - pts[:, 0] * s
-                swept = (u.max() - u.min()) * (v.max() - v.min())
-                assert r.w * r.h <= swept + 1e-9
