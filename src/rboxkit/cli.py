@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import decode as dec
 from . import evalkit, formats, polyiou, targets
-from .geom import Detections, RotatedBox, box_corners
+from .geom import Detections, RotatedBox
 
 DEFAULT_STRIDES = (4, 8, 16, 32)
 DEFAULT_LONG_RATIO_STRIDES = (4, 8)
@@ -110,14 +111,15 @@ def cmd_proposal_recall(args) -> int:
     return 1 if det_errors or gt_errors else 0
 
 
-def _in_bounds(box: RotatedBox, width: float, height: float) -> bool:
-    pts = box_corners(box)
-    return (
-        pts[:, 0].min() >= 0
-        and pts[:, 1].min() >= 0
-        and pts[:, 0].max() <= width
-        and pts[:, 1].max() <= height
-    )
+def _in_bounds(boxes: list[RotatedBox], width: float, height: float) -> np.ndarray:
+    """Whether all four corners of each box lie in the image, by the arithmetic of ``geom.box_corners``."""
+    cx, cy, w, h, theta = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes]).reshape(-1, 5).T
+    # libm cos and sin, one value at a time, as box_corners takes them
+    c, s = (np.fromiter(map(f, theta.tolist()), np.float64, len(theta))[:, None] for f in (math.cos, math.sin))
+    lx = (w / 2.0)[:, None] * np.array([-1.0, 1.0, 1.0, -1.0])
+    ly = (h / 2.0)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
+    x, y = cx[:, None] + lx * c - ly * s, cy[:, None] + lx * s + ly * c
+    return (x.min(1) >= 0) & (y.min(1) >= 0) & (x.max(1) <= width) & (y.max(1) <= height)
 
 
 def cmd_labelgen(args) -> int:
@@ -139,15 +141,11 @@ def cmd_labelgen(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     for image_id in sorted(gt_map):
-        boxes = []
-        for item in gt_map[image_id]:
-            if item.dont_care:
-                continue
-            b = item.box
-            if not _in_bounds(b, args.image_width, args.image_height):
-                _note(f"warning: {image_id}: box at ({b.cx:.0f}, {b.cy:.0f}) out of bounds, skipped")
-                continue
-            boxes.append(b)
+        boxes = [item.box for item in gt_map[image_id] if not item.dont_care]
+        inside = _in_bounds(boxes, args.image_width, args.image_height)
+        for b in (b for b, ok in zip(boxes, inside) if not ok):
+            _note(f"warning: {image_id}: box at ({b.cx:.0f}, {b.cy:.0f}) out of bounds, skipped")
+        boxes = [b for b, ok in zip(boxes, inside) if ok]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             maps = targets.generate_targets(boxes, levels, shrink, candidates)
@@ -165,8 +163,8 @@ def cmd_labelgen(args) -> int:
 
 def _sniff_maps(path: Path) -> dec.PredictionMaps:
     """A ``.pmap`` file, or the ideal predictions of a ``.tmap`` one; the file is read once."""
-    data = path.read_bytes()
-    if data[:4] == targets.TARGET_MAGIC:
+    data = targets._read_file(path)
+    if data[:4].tobytes() == targets.TARGET_MAGIC:
         return dec.ideal_predictions(targets.load_target_maps(data))
     return dec.load_prediction_maps(data)
 

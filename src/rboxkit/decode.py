@@ -182,7 +182,7 @@ def save_prediction_maps(maps: PredictionMaps, path) -> None:
 
 
 def load_prediction_maps(path) -> PredictionMaps:
-    """Read a file written by :func:`save_prediction_maps`, from its path or its bytes."""
+    """Read a file written by :func:`save_prediction_maps`, from its path or its ``_read_file`` buffer."""
     level, (prob, orientation, shape_dw, shape_dh) = _read_map(
         path, PREDICTION_MAGIC, _PREDICTION_DTYPES
     )

@@ -17,7 +17,7 @@ import numpy as np
 from .targets import LOC_IGNORE, LOC_NEGATIVE, LOC_POSITIVE
 
 PROB_EPS = 1e-7
-# scored cells per block of map_losses' location term
+# cells per block of map_losses' location term
 _CHUNK = 8192
 
 
@@ -211,31 +211,33 @@ def map_losses(pred, target, weights: LossWeights = LossWeights()) -> MapLosses:
         if shape != target.location.shape:
             raise ValueError(f"grid mismatch: predictions {name} {shape} vs targets {target.location.shape}")
 
-    # location: one focal value per scored cell, computed _CHUNK cells at a time
-    scored = np.flatnonzero(target.location != LOC_IGNORE)
+    # location: the focal value of every cell, _CHUNK cells at a time, then those of the scored cells
     prob, label = pred.location_prob.ravel(), target.location.ravel()
-    per_cell = np.empty(scored.size)
-    for lo in range(0, scored.size, _CHUNK):
-        cells = scored[lo : lo + _CHUNK]
-        raw = prob.take(cells)
-        if np.isnan(raw).any():
-            raise ValueError("location_prob is NaN on a scored cell")
-        p = np.clip(raw.astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
-        y = label.take(cells) == LOC_POSITIVE
-        per_cell[lo : lo + cells.size] = _focal(y, p, weights.focal_alpha, weights.focal_gamma)
+    scored = label != LOC_IGNORE
+    per_cell, end = np.empty(np.count_nonzero(scored)), 0
+    for lo in range(0, label.size, _CHUNK):
+        p = np.clip(prob[lo : lo + _CHUNK].astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
+        focal = _focal(label[lo : lo + _CHUNK] == LOC_POSITIVE, p, weights.focal_alpha, weights.focal_gamma)
+        focal = focal[scored[lo : lo + _CHUNK]]
+        per_cell[end : end + focal.size] = focal
+        end += focal.size
     l_loc = _mean(per_cell)
+    # a NaN probability on a scored cell makes the mean NaN
+    if math.isnan(l_loc) and np.isnan(prob[scored]).any():
+        raise ValueError("location_prob is NaN on a scored cell")
 
-    ang_mask = target.location != LOC_NEGATIVE
-    t_hat = pred.orientation[ang_mask].astype(np.float64)
+    # the covered cells, and among them those with a shape target, in row-major order
+    covered = np.flatnonzero(label != LOC_NEGATIVE)
+    t_hat = pred.orientation.ravel().take(covered).astype(np.float64)
     if np.isnan(t_hat).any():
         raise ValueError("orientation is NaN on a covered cell")
     t_hat = np.clip(t_hat, 0.0, 1.0)
-    t_gt = target.orientation[ang_mask].astype(np.float64)
+    t_gt = target.orientation.ravel().take(covered).astype(np.float64)
     l_angle = _mean(_cosine(np.pi * (t_hat - t_gt)))  # affine map to radians cancels the shift
 
-    shp_mask = target.shape_valid
+    shaped = covered[target.shape_valid.ravel().take(covered)]
     sides_p, sides_g = (
-        target.level.base_size * np.exp(np.stack([dw[shp_mask], dh[shp_mask]]).astype(np.float64))
+        target.level.base_size * np.exp(np.stack([dw.ravel().take(shaped), dh.ravel().take(shaped)]).astype(np.float64))
         for dw, dh in ((pred.shape_dw, pred.shape_dh), (target.shape_dw, target.shape_dh))
     )
     l_shape = _mean(np.sum(_smooth_l1(_bounded_ratio(sides_p, sides_g)), axis=0))

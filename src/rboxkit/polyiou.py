@@ -236,8 +236,8 @@ def _table(arr: np.ndarray) -> np.ndarray:
     if (np.abs(arr[:, :4]) > _MAX_PARAM).any():
         raise ValueError(f"box centre and sides must not exceed {_MAX_PARAM:g} in magnitude")
     t[:, _TOL] = _REL_TOL * t[:, _AREA]
-    cs = np.array([(math.cos(v), math.sin(v)) for v in arr[:, 4].tolist()]).reshape(-1, 2, 1)
-    c, s = cs[:, 0], cs[:, 1]
+    angles = arr[:, 4].tolist()
+    c, s = (np.fromiter(map(f, angles), np.float64, len(angles))[:, None] for f in (math.cos, math.sin))
     t[:, _COS], t[:, _SIN] = c[:, 0], s[:, 0]
     lu, lv = _SIGN_U * (arr[:, 2:3] / 2.0), _SIGN_V * (arr[:, 3:4] / 2.0)
     t[:, _OFF_X] = lu * c - lv * s

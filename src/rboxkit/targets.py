@@ -11,11 +11,12 @@ matching the serialized layout (see :func:`save_target_maps`).
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -70,7 +71,7 @@ class ShrinkParams:
 
 @dataclass(frozen=True)
 class ShapeCandidateSet:
-    """Sampled (scale, ratio) grid used to approximate the best anchor shape."""
+    """Sampled (scale, ratio) grid used to approximate the best anchor shape; hashable, as fields are kept as tuples."""
 
     scales: tuple = (8.0, 16.0, 32.0, 64.0)
     ratios: tuple = (1.0, 2.0, 4.0)
@@ -78,7 +79,8 @@ class ShapeCandidateSet:
 
     def __post_init__(self):
         for name in ("scales", "ratios", "long_ratios"):
-            vals = getattr(self, name)
+            vals = tuple(getattr(self, name))
+            object.__setattr__(self, name, vals)
             if not all(math.isfinite(v) and v > 0 for v in vals):
                 raise ValueError(f"{name} must all be positive and finite, got {vals}")
 
@@ -105,16 +107,22 @@ class TargetMaps:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} grid shape {arr.shape} != level grid {shape}")
-        if np.any(self.shape_valid & (self.location != LOC_POSITIVE)):
+        covered = np.flatnonzero(self.location != LOC_NEGATIVE)
+        loc = self.location.ravel().take(covered)
+        positive = loc == LOC_POSITIVE
+        if not (positive | (loc == LOC_IGNORE)).all():
+            raise ValueError("location bytes must be 0, 1 or 255")
+        if np.count_nonzero(self.shape_valid.ravel().take(covered) & positive) != np.count_nonzero(self.shape_valid):
             raise ValueError("shape targets defined on a non-positive cell")
-        covered = self.location != LOC_NEGATIVE
-        if not np.all(np.isfinite(self.orientation[covered])):
+        if not np.isfinite(self.orientation.ravel().take(covered)).all():
             raise ValueError("orientation undefined on a covered cell")
 
     @classmethod
     def empty(cls, level: LevelSpec) -> "TargetMaps":
+        """All-negative maps. They hold every invariant, so nothing is checked."""
         shape = (level.grid_h, level.grid_w)
-        return cls(
+        maps = cls.__new__(cls)
+        vars(maps).update(
             level=level,
             location=np.zeros(shape, dtype=np.uint8),
             orientation=np.full(shape, np.nan, dtype=np.float32),
@@ -122,6 +130,7 @@ class TargetMaps:
             shape_dh=np.zeros(shape, dtype=np.float32),
             shape_valid=np.zeros(shape, dtype=bool),
         )
+        return maps
 
     def counts(self) -> tuple[int, int, int]:
         """(positive, ignore, negative) cell counts."""
@@ -188,6 +197,15 @@ def enumerate_candidates(level: LevelSpec, candidates: ShapeCandidateSet) -> lis
             sr = math.sqrt(r)
             out.append((base * sr, base / sr))
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _candidate_table(level: LevelSpec, candidates: ShapeCandidateSet) -> tuple[np.ndarray, np.ndarray]:
+    """A level's candidate (w, h) pairs and their shape codes, read-only and built once per pair of specs."""
+    cand = np.array(enumerate_candidates(level, candidates))
+    enc = np.array([shape_encode(w, h, level) for w, h in cand])
+    cand.flags.writeable = enc.flags.writeable = False
+    return cand, enc
 
 
 def make_levels(
@@ -302,8 +320,7 @@ def generate_targets(
     under one pixel are skipped with a warning.
     """
     out = [TargetMaps.empty(lv) for lv in levels]
-    cands = [np.array(enumerate_candidates(lv, candidates)) for lv in levels]
-    encoded = [np.array([shape_encode(w, h, lv) for w, h in c]) for lv, c in zip(levels, cands)]
+    tables = [_candidate_table(lv, candidates) for lv in levels]
     # per level, one row per box in input order (see _level_cells)
     rows = [[] for _ in levels]
     for n, gt in enumerate(gts):
@@ -318,7 +335,7 @@ def generate_targets(
         rows[lv_idx].append((*window, gt.cx, gt.cy, c, sn, gt.w, gt.h, angle_to_unit(gt.theta)))
 
     wrap_cells = 0
-    for t, lv, level_rows, cand, enc in zip(out, levels, rows, cands, encoded):
+    for t, lv, level_rows, (cand, enc) in zip(out, levels, rows, tables):
         if not level_rows:
             continue
         cells, theta, pos, best, k = _level_cells(lv, np.array(level_rows), shrink, cand)
@@ -351,20 +368,30 @@ def _write_map(path, magic: bytes, level: LevelSpec, grids, dtypes) -> None:
     """Map-file layout shared by ``.tmap`` and ``.pmap``.
 
     Little-endian header (4-byte magic, u32 stride, u32 grid_w, u32 grid_h,
-    f32 k), then each grid row-major in its dtype.
+    f32 k), then each grid row-major in its dtype. A grid already in its
+    dtype is written from its own buffer, a bool grid as its bytes.
     """
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(magic, level.stride, level.grid_w, level.grid_h, level.k))
         for arr, dtype in zip(grids, dtypes):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            fh.write(np.ascontiguousarray(arr.view(np.uint8) if arr.dtype == bool else arr, dtype=dtype))
+
+
+def _read_file(path) -> np.ndarray:
+    """A file's bytes, read once into one writable uint8 array."""
+    with open(path, "rb") as fh:
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        return data[: fh.readinto(data)]
 
 
 def _read_map(source, magic: bytes, dtypes) -> tuple[LevelSpec, list[np.ndarray]]:
     """Inverse of :func:`_write_map`: the level and one writable array per dtype.
 
-    ``source`` is a path, or the file's bytes when the caller has read them.
+    ``source`` is a path, or the file as :func:`_read_file` returns it. The
+    arrays are views into that one buffer; a float grid after a grid of odd
+    size is not 4-byte aligned, and numpy reads it as it is.
     """
-    data = source if isinstance(source, bytes) else Path(source).read_bytes()
+    data = source if isinstance(source, np.ndarray) else _read_file(source)
     if len(data) < _HEADER.size:
         raise ValueError("map file truncated: missing header")
     tag, stride, gw, gh, k = _HEADER.unpack_from(data)
@@ -379,7 +406,7 @@ def _read_map(source, magic: bytes, dtypes) -> tuple[LevelSpec, list[np.ndarray]
     off = _HEADER.size
     for d in dtypes:
         grid = np.frombuffer(data, dtype=d, count=n, offset=off)
-        grids.append(grid.reshape(level.grid_h, level.grid_w).copy())
+        grids.append(grid.reshape(level.grid_h, level.grid_w))
         off += grid.nbytes
     return level, grids
 
@@ -395,7 +422,7 @@ def save_target_maps(maps: TargetMaps, path) -> None:
 
 
 def load_target_maps(path) -> TargetMaps:
-    """Read a file written by :func:`save_target_maps`, from its path or its bytes."""
+    """Read a file written by :func:`save_target_maps`, from its path or its :func:`_read_file` buffer."""
     level, (location, orientation, shape_dw, shape_dh, valid) = _read_map(
         path, TARGET_MAGIC, _TARGET_DTYPES
     )

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import rboxkit
 from rboxkit import geom
-from rboxkit.cli import build_parser, main
+from rboxkit.cli import _in_bounds, build_parser, main
 from rboxkit.decode import PredictionMaps, save_prediction_maps
 from rboxkit.formats import read_detection_file, write_detection_file
-from rboxkit.geom import Proposal, RotatedBox, rotated_box_to_quad
+from rboxkit.geom import Proposal, RotatedBox, box_corners, rotated_box_to_quad
 from rboxkit.targets import LevelSpec
 from records import pairs, record, record_of_pairs
 from test_decode import cli_order, loop_decode, loop_nms, random_maps
@@ -259,6 +259,58 @@ class TestProposalRecall:
         out = capsys.readouterr().out
         assert "100.0" not in out
         assert out.count("0.0") >= 9
+
+
+def loop_in_bounds(box, width, height):
+    """Reference: one box's corners from box_corners against the image rectangle."""
+    pts = box_corners(box)
+    return pts[:, 0].min() >= 0 and pts[:, 1].min() >= 0 and pts[:, 0].max() <= width and pts[:, 1].max() <= height
+
+
+@st.composite
+def edge_boxes(draw):
+    """Boxes in and around a 64x48 image; axis-aligned ones (theta 0 or -pi/2) with integer
+    sides may put a corner exactly on an edge."""
+    boxes = []
+    for _ in range(draw(st.integers(0, 8))):
+        w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        theta = draw(st.sampled_from([0.0, -PI / 2, 0.3, -1.2, 1.5]))
+        if draw(st.booleans()):
+            # half sides from the edge: the corner lands on 0 or on the far side
+            cx = draw(st.sampled_from([w / 2, 64 - w / 2, h / 2, 64 - h / 2]))
+            cy = draw(st.sampled_from([h / 2, 48 - h / 2, w / 2, 48 - w / 2]))
+        else:
+            cx, cy = draw(st.floats(-20, 84)), draw(st.floats(-20, 68))
+        boxes.append(RotatedBox.make(cx, cy, w, h, theta))
+    return boxes
+
+
+class TestInBounds:
+    @given(edge_boxes())
+    def test_equals_the_per_box_test(self, boxes):
+        got = _in_bounds(boxes, 64, 48)
+        assert got.dtype == bool and got.shape == (len(boxes),)
+        assert got.tolist() == [loop_in_bounds(b, 64, 48) for b in boxes]
+
+    def test_corners_on_the_edges_are_inside(self):
+        boxes = [RotatedBox(5, 4, 10, 8, 0.0), RotatedBox(59, 44, 10, 8, 0.0), RotatedBox(59.5, 44, 10, 8, 0.0)]
+        assert _in_bounds(boxes, 64, 48).tolist() == [True, True, False]
+
+    def test_labelgen_warns_in_box_order(self, tmp_path, capsys):
+        gt = tmp_path / "gt_a.txt"
+        boxes = [
+            RotatedBox(-30, 40, 40, 16, 0.0),
+            RotatedBox(100, 80, 40, 16, 0.3),
+            RotatedBox(700, 40, 40, 16, 0.0),
+            RotatedBox(200, 80, 40, 16, 0.0),
+        ]
+        write_gt_icdar15(gt, boxes)
+        argv = ["labelgen", "--gt", str(gt), "--gt-format", "icdar15", "--image-width", "512", "--image-height", "384"]
+        assert main([*argv, "--output", str(tmp_path / "maps")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: a: box at (-30, 40) out of bounds, skipped",
+            "warning: a: box at (700, 40) out of bounds, skipped",
+        ]
 
 
 class TestLabelgenAndDecode:

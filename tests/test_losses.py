@@ -13,7 +13,11 @@ from rboxkit.losses import (
     _CHUNK,
     PROB_EPS,
     LossWeights,
+    _bounded_ratio,
+    _cosine,
     _focal,
+    _mean,
+    _smooth_l1,
     angle_loss,
     conf_loss,
     focal_loss,
@@ -76,6 +80,37 @@ def whole_grid_map_losses(pred, target, weights):
     l_shape = mean(np.sum(np.where(np.abs(x) < 1.0, 0.5 * x * x, np.abs(x) - 0.5), axis=0))
     weighted = total_loss((0.0, 0.0, l_loc, l_angle, l_shape), weights)
     return l_loc, l_angle, l_shape, weighted
+
+
+def gathered_map_losses(pred, target, weights):
+    """Reference: map_losses as it gathered the scored cells with take, _CHUNK at a time,
+    and masked whole grids for the angle and shape terms."""
+    scored = np.flatnonzero(target.location != LOC_IGNORE)
+    prob, label = pred.location_prob.ravel(), target.location.ravel()
+    per_cell = np.empty(scored.size)
+    for lo in range(0, scored.size, _CHUNK):
+        cells = scored[lo : lo + _CHUNK]
+        raw = prob.take(cells)
+        if np.isnan(raw).any():
+            raise ValueError("location_prob is NaN on a scored cell")
+        p = np.clip(raw.astype(np.float64), PROB_EPS, 1.0 - PROB_EPS)
+        y = label.take(cells) == LOC_POSITIVE
+        per_cell[lo : lo + cells.size] = _focal(y, p, weights.focal_alpha, weights.focal_gamma)
+    l_loc = _mean(per_cell)
+    ang_mask = target.location != LOC_NEGATIVE
+    t_hat = pred.orientation[ang_mask].astype(np.float64)
+    if np.isnan(t_hat).any():
+        raise ValueError("orientation is NaN on a covered cell")
+    t_hat = np.clip(t_hat, 0.0, 1.0)
+    t_gt = target.orientation[ang_mask].astype(np.float64)
+    l_angle = _mean(_cosine(np.pi * (t_hat - t_gt)))
+    shp_mask = target.shape_valid
+    sides_p, sides_g = (
+        target.level.base_size * np.exp(np.stack([dw[shp_mask], dh[shp_mask]]).astype(np.float64))
+        for dw, dh in ((pred.shape_dw, pred.shape_dh), (target.shape_dw, target.shape_dh))
+    )
+    l_shape = _mean(np.sum(_smooth_l1(_bounded_ratio(sides_p, sides_g)), axis=0))
+    return l_loc, l_angle, l_shape, total_loss((0.0, 0.0, l_loc, l_angle, l_shape), weights)
 
 
 def scored_scene(n_scored, seed=0):
@@ -497,3 +532,82 @@ class TestMapLossesProperties:
         assert out.angle == pytest.approx(np.mean(ang), rel=1e-12, abs=1e-15)
         assert out.shape == pytest.approx(np.mean(shp) if shp else 0.0, rel=1e-12)
         assert out.weighted == total_loss((0, 0, out.loc, out.angle, out.shape), w)
+
+
+@st.composite
+def block_scenes(draw):
+    """Random target/prediction maps of 1 to 3.5 location blocks: all ignore, no ignore, or a
+    drawn share of ignore cells, placed at random or in runs that cross block edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gh, gw = draw(st.sampled_from([(1, 1), (3, 5), (64, 128), (96, 96), (100, 287)]))
+    share = draw(st.sampled_from([0.0, 1.0, 0.02, 0.5]))
+    location = np.where(rng.random((gh, gw)) < 0.1, LOC_POSITIVE, LOC_NEGATIVE).astype(np.uint8)
+    if draw(st.booleans()):
+        location[rng.random((gh, gw)) < share] = LOC_IGNORE
+    else:
+        runs = location.ravel()
+        for start in rng.integers(0, runs.size, 4):
+            runs[start : start + int(share * runs.size / 4) + 1] = LOC_IGNORE
+        if share == 1.0:
+            runs[:] = LOC_IGNORE
+    covered = location != LOC_NEGATIVE
+    lv = LevelSpec(stride=draw(st.sampled_from([4, 32])), grid_w=gw, grid_h=gh)
+    target = TargetMaps(
+        level=lv,
+        location=location,
+        orientation=np.where(covered, rng.random((gh, gw)), np.nan).astype(np.float32),
+        shape_dw=rng.normal(0.0, 0.5, (gh, gw)).astype(np.float32),
+        shape_dh=rng.normal(0.0, 0.5, (gh, gw)).astype(np.float32),
+        shape_valid=(location == LOC_POSITIVE) & (rng.random((gh, gw)) < 0.7),
+    )
+    prob = rng.random((gh, gw)).astype(np.float32)
+    prob.flat[rng.integers(0, prob.size, 5)] = rng.choice([0.0, 1.0], 5)
+    pred = SimpleNamespace(
+        location_prob=prob,
+        orientation=rng.random((gh, gw)).astype(np.float32),
+        shape_dw=rng.normal(0.0, 0.5, (gh, gw)).astype(np.float32),
+        shape_dh=rng.normal(0.0, 0.5, (gh, gw)).astype(np.float32),
+    )
+    weights = LossWeights(
+        shape=draw(st.floats(0, 1)), focal_alpha=draw(st.floats(0.05, 0.95)), focal_gamma=draw(st.floats(0, 4))
+    )
+    return pred, target, weights
+
+
+class TestMapLossesBlocks:
+    @given(block_scenes())
+    def test_equals_the_gathering_implementation(self, case):
+        pred, target, w = case
+        out = map_losses(pred, target, w)
+        assert (out.loc, out.angle, out.shape, out.weighted) == gathered_map_losses(pred, target, w)
+
+    def test_all_ignore_and_all_scored_maps(self):
+        for n_scored in (0, 96 * 96):
+            pred, target = scored_scene(n_scored, seed=3)
+            out = map_losses(pred, target)
+            assert (out.loc, out.angle, out.shape, out.weighted) == gathered_map_losses(pred, target, LossWeights())
+        assert map_losses(*scored_scene(0, seed=3)).loc == 0.0
+
+    @pytest.mark.parametrize("where", ["first", "block-edge", "last"])
+    def test_nan_on_a_scored_cell_raises(self, where):
+        pred, target = scored_scene(3 * _CHUNK, seed=5)
+        scored = np.flatnonzero(target.location != LOC_IGNORE)
+        # the first scored cell of the second block, or the first scored cell of the grid, or its last
+        cell = {"first": scored[0], "block-edge": scored[scored >= _CHUNK][0], "last": scored[-1]}[where]
+        pred.location_prob.flat[cell] = np.nan
+        with pytest.raises(ValueError, match="^location_prob is NaN on a scored cell$"):
+            map_losses(pred, target)
+
+    def test_nan_on_ignore_cells_does_not_raise(self):
+        pred, target = scored_scene(3 * _CHUNK, seed=5)
+        want = gathered_map_losses(pred, target, LossWeights())
+        pred.location_prob[target.location == LOC_IGNORE] = np.nan
+        out = map_losses(pred, target)
+        assert (out.loc, out.angle, out.shape, out.weighted) == want
+
+    def test_nan_gamma_gives_nan_without_the_probability_error(self):
+        # a NaN mean with no NaN probability is returned, as before
+        pred, target = scored_scene(100, seed=5)
+        weights = LossWeights(focal_gamma=float("nan"))
+        assert math.isnan(map_losses(pred, target, weights).loc)
+        assert math.isnan(gathered_map_losses(pred, target, weights)[0])

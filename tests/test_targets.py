@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,16 +7,23 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rboxkit.cli import main
 from rboxkit.geom import RotatedBox, angle_to_unit
 from rboxkit.polyiou import iou
 from rboxkit.targets import (
+    _TARGET_DTYPES,
     LOC_IGNORE,
     LOC_NEGATIVE,
     LOC_POSITIVE,
+    TARGET_MAGIC,
     LevelSpec,
     ShapeCandidateSet,
     ShrinkParams,
+    TargetMaps,
     _aligned_iou,
+    _candidate_table,
+    _read_file,
+    _read_map,
     assign_level,
     cell_center,
     enumerate_candidates,
@@ -388,6 +396,7 @@ class TestGenerateTargets:
         assert all("wrap" in m for m in wraps)
         assert [int(m.split()[0]) for m in wraps] == ([wrap_cells] if wrap_cells else [])
         for maps, (location, orientation, dw, dh) in zip(out, want):
+            TargetMaps(**vars(maps))  # built unchecked, they pass every check
             assert maps.location.tobytes() == location.tobytes()
             assert np.array_equal(maps.orientation, orientation, equal_nan=True)
             assert np.array_equal(maps.shape_valid, location == LOC_POSITIVE)
@@ -474,3 +483,140 @@ class TestSerialization:
         p.write_bytes(p.read_bytes()[:-10])
         with pytest.raises(ValueError):
             load_target_maps(p)
+
+
+def stride32_maps():
+    """Target maps of the 42x25 stride-32 level of a 1333x800 image: 1,050 cells, so
+    every float grid in its file starts 2 bytes past a multiple of 4."""
+    lv = make_levels(1333, 800)[3]
+    gts = [RotatedBox(300, 200, 200, 120, 0.4), RotatedBox(900, 500, 260, 100, -1.1)]
+    maps = generate_targets(gts, [lv])[0]
+    assert maps.counts()[0] > 0 and maps.shape_valid.any()
+    return maps
+
+
+class TestMapFileBuffer:
+    def test_stride32_round_trip_into_writable_views(self, tmp_path):
+        maps = stride32_maps()
+        p = tmp_path / "a.s32.tmap"
+        save_target_maps(maps, p)
+        data = _read_file(p)
+        level, grids = _read_map(data, TARGET_MAGIC, _TARGET_DTYPES)
+        assert level == LevelSpec(stride=32, k=5.0, grid_w=42, grid_h=25)
+        want = (maps.location, maps.orientation, maps.shape_dw, maps.shape_dh, maps.shape_valid.view(np.uint8))
+        for got, ref in zip(grids, want):
+            assert got.shape == (25, 42) and got.dtype == ref.dtype
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert got.flags.writeable and np.shares_memory(got, data)
+        # the float grids are unaligned views, and numpy computes on them as on copies
+        assert not grids[1].flags.aligned
+        assert np.array_equal(np.nanmax(grids[1]), np.nanmax(maps.orientation))
+        grids[2][0, 0] = 7.5
+        assert data[20 + 1050 * 5 : 20 + 1050 * 5 + 4].view("<f4")[0] == 7.5
+
+    def test_loaded_maps_are_writable(self, tmp_path):
+        p = tmp_path / "a.s32.tmap"
+        save_target_maps(stride32_maps(), p)
+        back = load_target_maps(p)
+        for name in ("location", "orientation", "shape_dw", "shape_dh", "shape_valid"):
+            assert getattr(back, name).flags.writeable, name
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b[:-10], "map file has 14710 bytes, expected 14720"),
+            (lambda b: b + b"\0", "map file has 14721 bytes, expected 14720"),
+            (lambda b: b[:19], "map file truncated: missing header"),
+        ],
+        ids=["truncated", "oversized", "no-header"],
+    )
+    def test_size_errors_keep_their_messages(self, tmp_path, capsys, edit, message):
+        p = tmp_path / "img.s32.tmap"
+        save_target_maps(stride32_maps(), p)
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_target_maps(p)
+        assert main(["decode", str(p)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_grids_written_from_any_layout_and_dtype(self, tmp_path):
+        # a float64, a Fortran-ordered and a strided grid are written as their float32 values
+        maps = stride32_maps()
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_target_maps(maps, a)
+        wide = np.zeros((25, 84), dtype=np.float32)
+        wide[:, ::2] = maps.shape_dh
+        save_target_maps(
+            TargetMaps(
+                level=maps.level,
+                location=maps.location,
+                orientation=maps.orientation.astype(np.float64),
+                shape_dw=np.asfortranarray(maps.shape_dw),
+                shape_dh=wide[:, ::2],
+                shape_valid=maps.shape_valid,
+            ),
+            b,
+        )
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_bytes()) == 20 + 14 * 1050
+
+
+class TestLocationBytes:
+    def file_with_byte(self, tmp_path, value):
+        """A 3x2 map whose cell 4 is ignore with a finite orientation, then its location byte set to value."""
+        lv = LevelSpec(stride=4, grid_w=3, grid_h=2)
+        maps = TargetMaps.empty(lv)
+        maps.location.flat[4] = LOC_IGNORE
+        maps.orientation.flat[4] = 0.5
+        p = tmp_path / "img.s4.tmap"
+        save_target_maps(maps, p)
+        data = bytearray(p.read_bytes())
+        data[20 + 4] = value
+        p.write_bytes(bytes(data))
+        return p
+
+    @pytest.mark.parametrize("value", [LOC_POSITIVE, LOC_IGNORE])
+    def test_the_three_classes_load(self, tmp_path, value):
+        assert load_target_maps(self.file_with_byte(tmp_path, value)).location.flat[4] == value
+
+    @pytest.mark.parametrize("value", [2, 7, 128, 254])
+    def test_other_bytes_rejected(self, tmp_path, capsys, value):
+        p = self.file_with_byte(tmp_path, value)
+        with pytest.raises(ValueError, match="location bytes must be 0, 1 or 255"):
+            load_target_maps(p)
+        assert main(["decode", str(p)]) == 2
+        assert "error: location bytes must be 0, 1 or 255" in capsys.readouterr().err
+
+    def test_rejected_in_memory_too(self):
+        lv = LevelSpec(stride=4, grid_w=3, grid_h=2)
+        fields = vars(TargetMaps.empty(lv))
+        fields["location"] = np.array([[0, 0, 0], [0, 7, 0]], dtype=np.uint8)
+        fields["orientation"] = np.where(fields["location"] != 0, 0.5, np.nan).astype(np.float32)
+        with pytest.raises(ValueError, match="location bytes"):
+            TargetMaps(**fields)
+
+    def test_empty_maps_pass_the_checks(self):
+        for lv in make_levels(100, 60):
+            TargetMaps(**vars(TargetMaps.empty(lv)))
+
+
+class TestCandidateTable:
+    def test_list_fields_are_hashable_and_give_the_same_maps(self):
+        lists = ShapeCandidateSet(scales=[4.0, 8.0], ratios=[1.0, 3.0], long_ratios=[6.0])
+        tuples = ShapeCandidateSet(scales=(4.0, 8.0), ratios=(1.0, 3.0), long_ratios=(6.0,))
+        assert lists == tuples and hash(lists) == hash(tuples)
+        levels = make_levels(128, 96)
+        gts = [RotatedBox(40, 40, 30, 18, 0.3), RotatedBox(90, 60, 60, 25, -0.7)]
+        from_lists = generate_targets(gts, levels, candidates=lists)
+        for a, b in zip(from_lists, generate_targets(gts, levels, candidates=tuples)):
+            assert a.shape_dw.tobytes() == b.shape_dw.tobytes()
+            assert a.shape_dh.tobytes() == b.shape_dh.tobytes()
+
+    def test_table_is_the_encoded_candidates_and_read_only(self):
+        lv, cands = level(8, long_ratios=True), ShapeCandidateSet()
+        cand, enc = _candidate_table(lv, cands)
+        assert _candidate_table(lv, cands)[0] is cand
+        assert cand.tolist() == [list(c) for c in enumerate_candidates(lv, cands)]
+        assert enc.tolist() == [list(shape_encode(w, h, lv)) for w, h in enumerate_candidates(lv, cands)]
+        with pytest.raises(ValueError):
+            enc[0, 0] = 0.0
