@@ -38,8 +38,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("loc", "angle", "shape", "focal_gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not 0.0 < self.focal_alpha < 1.0:
             raise ValueError(f"focal_alpha must lie in (0, 1), got {self.focal_alpha}")
 

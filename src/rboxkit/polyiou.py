@@ -8,9 +8,9 @@ vertices once near-duplicates are merged.
 arrays, lists the pairs whose bounding boxes meet and computes only those
 exactly; scalar :func:`iou` is its 1x1 case. :func:`greedy_nms` runs
 greedy suppression on the same exact stage: it lists its pairs with a
-sort-and-sweep on x, bounds each pair's IoU from both sides from the two
-boxes' parameters, and computes exactly only the pairs that greedy reads
-and that the bounds leave within ``_MARGIN`` of the threshold.
+sort-and-sweep on x, drops the pairs whose IoU an upper bound from the two
+boxes' parameters puts more than ``_MARGIN`` below the threshold, and
+computes exactly only the other pairs that greedy reads.
 :func:`clip_convex` (Sutherland-Hodgman) and
 :func:`iou_oracle` (Monte Carlo) stay as the independent references it is
 tested against.
@@ -28,7 +28,7 @@ from .geom import RotatedBox, box_corners
 _EPS = 1e-9
 # candidate pairs per step of the exact stage; bounds its temporaries
 _BLOCK = 1024
-# candidate pairs per step of _sweep_pairs and of the IoU bounds; bounds
+# candidate pairs per step of _sweep_pairs and of the IoU upper bound; bounds
 # their one-dimensional temporaries
 _STEP = 4 * _BLOCK
 # inclusive slack of the exact stage's tests: on the edge parameters of a
@@ -37,8 +37,8 @@ _REL_TOL = 1e-10
 # largest |cx|, |cy|, w or h the exact stage takes: products of two such
 # values in its edge cross products stay finite
 _MAX_PARAM = 1e150
-# IoU slack of greedy_nms's bounds: a pair is decided without the exact stage
-# only when a bound clears the threshold by more than this
+# IoU slack of greedy_nms's upper bound: a pair is dropped without the exact
+# stage only when the bound lies below the threshold by more than this
 _MARGIN = 1e-6
 
 
@@ -144,20 +144,17 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
     ``boxes`` is an (N, 5) array in priority order: a row is kept unless a
     kept row before it has IoU strictly above ``iou_threshold`` with it.
     The pairs whose bounding boxes meet come from a sort-and-sweep on x
-    (:func:`_sweep_pairs`). Each pair's IoU is then bounded from both sides
-    from the two boxes' parameters alone (:func:`_iou_upper`,
-    :func:`_iou_lower`); a pair whose upper bound lies more than ``_MARGIN``
-    below the threshold can never suppress and is dropped. The pass runs in
-    rounds over the other pairs. Each round keeps every undecided row whose
-    earlier partners are all decided (the first undecided row always is, and
-    no two rows kept in one round are partners). A later partner of a newly
-    kept row is suppressed at once when the pair's lower bound lies more
-    than ``_MARGIN`` above the threshold; the exact IoU is computed only for
-    the remaining pairs (newly kept row, undecided later partner), and those
-    above the threshold suppress. Every IoU it computes equals the one
-    :func:`iou_matrix` gives, and the bounds hold to within far less than
-    the margin, so the result is that of the sequential greedy pass over
-    all pairs.
+    (:func:`_sweep_pairs`). Each pair's IoU is then bounded from above from
+    the two boxes' parameters alone (:func:`_iou_upper`); a pair whose bound
+    lies more than ``_MARGIN`` below the threshold can never suppress and is
+    dropped. The pass runs in rounds over the other pairs. Each round keeps
+    every undecided row whose earlier partners are all decided (the first
+    undecided row always is, and no two rows kept in one round are
+    partners), computes the exact IoU of every pair (newly kept row,
+    undecided later partner), and suppresses the partners above the
+    threshold. Every IoU it computes equals the one :func:`iou_matrix`
+    gives, and the bound holds to within far less than the margin, so the
+    result is that of the sequential greedy pass over all pairs.
     """
     table = _table(_rows(boxes))
     rank = _tuple_rank(table[:, :5])
@@ -165,7 +162,6 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
     near = _iou_upper(table, i, j) >= iou_threshold - _MARGIN
     # the pair list only ever holds pairs whose rows are both undecided
     i, j = i[near], j[near]
-    sure = _iou_lower(table, i, j) > iou_threshold + _MARGIN
     undecided = np.ones(len(table), dtype=bool)
     kept = np.zeros(len(table), dtype=bool)
     while undecided.any():
@@ -174,13 +170,11 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
         kept |= new
         undecided &= ~new
         fresh = new[i]
-        undecided[j[fresh & sure]] = False
-        fresh &= undecided[j]
         if fresh.any():
             later = j[fresh]
             undecided[later[_exact(table, rank, i[fresh], later) > iou_threshold]] = False
         live = undecided[i] & undecided[j]
-        i, j, sure = i[live], j[live], sure[live]
+        i, j = i[live], j[live]
     return np.flatnonzero(kept)
 
 
@@ -190,8 +184,8 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
 
 
 # columns of the per-box table built by _table, after the five box parameters:
-# cos and sin of theta and the area (the columns the IoU bounds read, up to
-# _AREA), bounding-box half extents (x, y), corner offsets from the centre
+# cos and sin of theta and the area (the columns the IoU upper bound reads,
+# up to _AREA), bounding-box half extents (x, y), corner offsets from the centre
 # (four x, then four y) and the inside-test slack
 _COS, _SIN, _AREA, _EXT_X, _EXT_Y, _OFF_X, _OFF_Y, _TOL = 5, 6, 7, 8, 9, slice(10, 14), slice(14, 18), 18
 # corner offsets in half-side units, counter-clockwise from (-w/2, -h/2) as in box_corners
@@ -333,14 +327,25 @@ def _sweep_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iou_upper(t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Upper bound on the IoU of each table row pair (F, G) = (i[k], j[k]).
+    """Upper bound on the IoU of each table row pair (F, G) = (i[k], j[k]), ``_STEP`` pairs at a time.
 
     The intersection lies inside F and inside the rectangle that G projects
     onto F's two axes, so its area is at most their overlap; the same holds
     with F and G swapped, and the smaller overlap counts.
     """
+    # gathering the few columns needed, transposed, keeps both the gathers and
+    # the arithmetic on contiguous rows, several times faster than on (n, 19) rows
+    cols = np.ascontiguousarray(t[:, : _AREA + 1].T)
     out = np.empty(len(i))
-    for k, f, g, c, s, fu, fv, gu, gv in _pair_frames(t, i, j):
+    for k in range(0, len(i), _STEP):
+        f, g = cols.take(i[k : k + _STEP], axis=1), cols.take(j[k : k + _STEP], axis=1)
+        dx, dy = g[0] - f[0], g[1] - f[1]
+        cf, sf, cg, sg = f[_COS], f[_SIN], g[_COS], g[_SIN]
+        # |cos| and |sin| of the angle between the boxes, and the distances
+        # between the centres along F's axes and along G's
+        c, s = np.abs(cf * cg + sf * sg), np.abs(cf * sg - sf * cg)
+        fu, fv = np.abs(dx * cf + dy * sf), np.abs(dy * cf - dx * sf)
+        gu, gv = np.abs(dx * cg + dy * sg), np.abs(dy * cg - dx * sg)
         fw, fh, gw, gh = f[2] / 2.0, f[3] / 2.0, g[2] / 2.0, g[3] / 2.0
         inter = np.minimum(
             _overlap(fw, fu, gw * c + gh * s) * _overlap(fh, fv, gw * s + gh * c),
@@ -350,77 +355,9 @@ def _iou_upper(t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iou_lower(t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Lower bound on the IoU of each table row pair (F, G) = (i[k], j[k]).
-
-    The intersection holds F's overlap with any rectangle inside G, and G's
-    with any rectangle inside F; the larger of the two overlaps counts. See
-    :func:`_inscribed_overlap` for the rectangle used.
-    """
-    out = np.empty(len(i))
-    for k, f, g, c, s, fu, fv, gu, gv in _pair_frames(t, i, j):
-        fw, fh, gw, gh = f[2] / 2.0, f[3] / 2.0, g[2] / 2.0, g[3] / 2.0
-        inter = np.maximum(
-            _inscribed_overlap(fw, fh, fu, fv, gw, gh, c, s),
-            _inscribed_overlap(gw, gh, gu, gv, fw, fh, c, s),
-        )
-        out[k : k + _STEP] = inter / (f[_AREA] + g[_AREA] - inter)
-    return out
-
-
-def _pair_frames(t: np.ndarray, i: np.ndarray, j: np.ndarray):
-    """Per step of ``_STEP`` pairs: its offset, the boxes' table columns and their relative placement.
-
-    Yields (k, f, g, c, s, fu, fv, gu, gv): row r of f and of g holds table
-    column r (r up to ``_AREA``) of the rows i[k:k + n] and of j[k:k + n];
-    c and s are |cos| and |sin| of the angle between the boxes; (fu, fv)
-    and (gu, gv) are the distances between the centres along F's axes and
-    along G's.
-    """
-    # gathering the few columns needed, transposed, keeps both the gathers and
-    # the arithmetic on contiguous rows, several times faster than on (n, 19) rows
-    cols = np.ascontiguousarray(t[:, : _AREA + 1].T)
-    for k in range(0, len(i), _STEP):
-        f, g = cols.take(i[k : k + _STEP], axis=1), cols.take(j[k : k + _STEP], axis=1)
-        dx, dy = g[0] - f[0], g[1] - f[1]
-        cf, sf, cg, sg = f[_COS], f[_SIN], g[_COS], g[_SIN]
-        c, s = np.abs(cf * cg + sf * sg), np.abs(cf * sg - sf * cg)
-        fu, fv = np.abs(dx * cf + dy * sf), np.abs(dy * cf - dx * sf)
-        gu, gv = np.abs(dx * cg + dy * sg), np.abs(dy * cg - dx * sg)
-        yield k, f, g, c, s, fu, fv, gu, gv
-
-
 def _overlap(h1, d, h2):
     """Length shared by [-h1, h1] and [d - h2, d + h2], for d >= 0."""
     return np.maximum(np.minimum(2.0 * np.minimum(h1, h2), h1 + h2 - d), 0.0)
-
-
-def _inscribed_overlap(aw, ah, au, av, bw, bh, c, s):
-    """Area shared by box A and a rectangle inside box B.
-
-    A has half sides (aw, ah); B has half sides (bw, bh), its centre lies
-    (au, av) from A's along A's axes, and c, s are |cos| and |sin| of the
-    angle between them. The rectangle is aligned to A, centred on B, and of
-    the largest area that fits in B: with half sides (x, y) along A's axes it
-    must meet x c + y s <= bw and x s + y c <= bh. Its corners touch all four
-    sides of B, unless B's nearer pair of sides alone already allows no
-    larger area (at angle gaps near 45 degrees). It is fitted to B shrunk
-    by a relative 1e-9, so that rounding cannot carry a corner past B's
-    sides; where it does anyway (the fit is ill-conditioned near 45 degrees),
-    the area is 0.
-    """
-    sw, sh = bw * (1.0 - 1e-9), bh * (1.0 - 1e-9)
-    short = np.minimum(sw, sh)
-    narrow = sw <= sh
-    # the branch np.where drops may divide by zero or overflow
-    with np.errstate(all="ignore"):
-        x = (sw * c - sh * s) / (c * c - s * s)
-        y = (sh * c - sw * s) / (c * c - s * s)
-        near_only = short <= np.maximum(sw, sh) * 2.0 * c * s
-        x = np.where(near_only, short / (2.0 * np.where(narrow, c, s)), x)
-        y = np.where(near_only, short / (2.0 * np.where(narrow, s, c)), y)
-        fits = (x >= 0.0) & (y >= 0.0) & (x * c + y * s <= bw) & (x * s + y * c <= bh)
-    return _overlap(aw, au, np.where(fits, x, 0.0)) * _overlap(ah, av, np.where(fits, y, 0.0))
 
 
 def _pair_iou(f, g) -> np.ndarray:

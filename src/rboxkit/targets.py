@@ -426,11 +426,13 @@ def load_target_maps(path) -> TargetMaps:
     level, (location, orientation, shape_dw, shape_dh, valid) = _read_map(
         path, TARGET_MAGIC, _TARGET_DTYPES
     )
+    if valid.max(initial=0) > 1:
+        raise ValueError("shape_valid bytes must be 0 or 1")
     return TargetMaps(
         level=level,
         location=location,
         orientation=orientation,
         shape_dw=shape_dw,
         shape_dh=shape_dh,
-        shape_valid=valid != 0,
+        shape_valid=valid.view(bool),
     )

@@ -364,7 +364,8 @@ class TestPolygonNms:
     def test_axis_aligned_chain_needs_no_exact_iou(self, monkeypatch):
         # each box overlaps the next at IoU 7/13 and the one after at 4/16:
         # a drops b, so c survives and drops d, so e survives. Aligned boxes
-        # make both IoU bounds exact, so they decide every pair.
+        # make the IoU upper bound exact, so it drops the pairs at 4/16 with
+        # no exact IoU; the exact IoU runs once a round, from a and from c.
         a, b, c, d, e = (prop(3.0 * k, 0, 10, 5, 0.0, 0.9 - 0.1 * k) for k in range(5))
         props = [e, d, c, b, a]
         assert loop_nms(props, 0.3) == [a, c, e]
@@ -372,13 +373,13 @@ class TestPolygonNms:
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: calls.append(args[2]) or exact(*args))
         assert list(polygon_nms(record(props), 0.3)) == [a, c, e]
-        assert calls == []
+        assert [rows.tolist() for rows in calls] == [[0], [2]]
 
     def test_chain_needs_several_rounds(self, monkeypatch):
         # each box turns 28 degrees from the last: it overlaps the next at IoU
-        # about 0.42 with a lower bound below 0.18, and the one after at about
-        # 0.25 with an upper bound above 0.41, so the bounds decide neither kind
-        # of pair and each round's exact IoU keeps the next surviving box
+        # about 0.42, and the one after at about 0.25 with an upper bound above
+        # 0.41, so the bound drops neither kind of pair and each round's exact
+        # IoU keeps the next surviving box
         chain = [prop(2.0 * k, 0, 10, 5, math.radians(28.0 * k), 0.9 - 0.1 * k) for k in range(7)]
         a, b, c, d, e, f, g = chain
         assert loop_nms(chain[::-1], 0.3) == [a, c, e, g]

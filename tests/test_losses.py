@@ -338,6 +338,13 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             total_loss((0, 0, -1, 0, 0))
 
+    def test_non_finite_weights_rejected(self):
+        # NaN passes a plain `< 0` check and would make map_losses return NaN
+        for name in ("loc", "angle", "shape", "focal_gamma"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative, got {value}$"):
+                    LossWeights(**{name: value})
+
 
 class TestMapLosses:
     LEVELS = make_levels(64, 64, strides=(4,))
@@ -604,10 +611,3 @@ class TestMapLossesBlocks:
         pred.location_prob[target.location == LOC_IGNORE] = np.nan
         out = map_losses(pred, target)
         assert (out.loc, out.angle, out.shape, out.weighted) == want
-
-    def test_nan_gamma_gives_nan_without_the_probability_error(self):
-        # a NaN mean with no NaN probability is returned, as before
-        pred, target = scored_scene(100, seed=5)
-        weights = LossWeights(focal_gamma=float("nan"))
-        assert math.isnan(map_losses(pred, target, weights).loc)
-        assert math.isnan(gathered_map_losses(pred, target, weights)[0])

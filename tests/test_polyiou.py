@@ -356,14 +356,12 @@ def _copy_pair(draw):
     return a, RotatedBox.make(a.cx, a.cy, a.w, a.h, a.theta + turn)
 
 
-def _bounds(a: RotatedBox, b: RotatedBox):
-    table = polyiou._table(box_array((a, b)))
-    i, j = np.array([0]), np.array([1])
-    return polyiou._iou_lower(table, i, j)[0], polyiou._iou_upper(table, i, j)[0]
+def _upper(a: RotatedBox, b: RotatedBox):
+    return polyiou._iou_upper(polyiou._table(box_array((a, b))), np.array([0]), np.array([1]))[0]
 
 
 class TestNmsStages:
-    """The sweep pair listing and the IoU bounds that greedy_nms builds on."""
+    """The sweep pair listing and the IoU upper bound that greedy_nms builds on."""
 
     @given(_crowd())
     def test_sweep_lists_the_dense_pairs(self, rows):
@@ -393,25 +391,12 @@ class TestNmsStages:
         a, b = pair
         exact = iou(a, b)
         for f, g in ((a, b), (b, a)):
-            lower, upper = _bounds(f, g)
-            assert lower - polyiou._MARGIN <= exact <= upper + polyiou._MARGIN
-
-    def test_lower_bound_holds_most_of_a_turned_copy(self):
-        # the largest rectangle in the copy touches its sides, where rounding must
-        # not push it out and lose the bound
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = random_box(rng)
-            b = RotatedBox.make(a.cx, a.cy, a.w, a.h, a.theta + rng.uniform(1e-4, 1e-2))
-            assert _bounds(a, b)[0] > 0.5 * iou(a, b)
+            assert exact <= _upper(f, g) + polyiou._MARGIN
 
     def test_bounds_are_tight_for_aligned_boxes(self):
-        # the lower bound's rectangle is fitted to the box shrunk by a relative 1e-9
         a = RotatedBox(0, 0, 10, 5, 0.0)
         for b in (a, RotatedBox(3, 0, 10, 5, 0.0), RotatedBox(1, 1, 4, 2, 0.0), RotatedBox(10, 0, 10, 5, 0.0)):
-            lower, upper = _bounds(a, b)
-            assert lower == pytest.approx(iou(a, b), abs=1e-8)
-            assert upper == pytest.approx(iou(a, b), abs=1e-12)
+            assert _upper(a, b) == pytest.approx(iou(a, b), abs=1e-12)
 
 
 class TestIouOracle:

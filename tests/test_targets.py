@@ -600,6 +600,35 @@ class TestLocationBytes:
             TargetMaps(**vars(TargetMaps.empty(lv)))
 
 
+class TestShapeValidBytes:
+    def file_with_byte(self, tmp_path, value):
+        """A 3x2 map whose cell 4 is positive with a shape target, then its shape_valid byte set to value."""
+        lv = LevelSpec(stride=4, grid_w=3, grid_h=2)
+        maps = TargetMaps.empty(lv)
+        maps.location.flat[4] = LOC_POSITIVE
+        maps.orientation.flat[4] = 0.5
+        maps.shape_valid.flat[4] = True
+        p = tmp_path / "img.s4.tmap"
+        save_target_maps(maps, p)
+        data = bytearray(p.read_bytes())
+        # header, then five grids of 6 cells: 1 + 4 + 4 + 4 bytes a cell before shape_valid
+        data[20 + 13 * 6 + 4] = value
+        p.write_bytes(bytes(data))
+        return p
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_zero_and_one_load(self, tmp_path, value):
+        assert load_target_maps(self.file_with_byte(tmp_path, value)).shape_valid.flat[4] == bool(value)
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_other_bytes_rejected(self, tmp_path, capsys, value):
+        p = self.file_with_byte(tmp_path, value)
+        with pytest.raises(ValueError, match="^shape_valid bytes must be 0 or 1$"):
+            load_target_maps(p)
+        assert main(["decode", str(p)]) == 2
+        assert "error: shape_valid bytes must be 0 or 1" in capsys.readouterr().err
+
+
 class TestCandidateTable:
     def test_list_fields_are_hashable_and_give_the_same_maps(self):
         lists = ShapeCandidateSet(scales=[4.0, 8.0], ratios=[1.0, 3.0], long_ratios=[6.0])
