@@ -6,7 +6,9 @@ vertices once near-duplicates are merged.
 
 :func:`iou_matrix` is the one rotated-IoU kernel: it works on (N, 5) box
 arrays, lists the pairs whose bounding boxes meet and computes only those
-exactly; scalar :func:`iou` is its 1x1 case. :func:`greedy_nms` runs
+exactly, in the first box's frame, by summing the pieces of the
+intersection's boundary (Green's theorem) with no vertex list, sort or
+tolerance; scalar :func:`iou` is its 1x1 case. :func:`greedy_nms` runs
 greedy suppression on the same exact stage: it lists its pairs with a
 sort-and-sweep on x, drops the pairs whose IoU an upper bound from the two
 boxes' parameters puts more than ``_MARGIN`` below the threshold, and
@@ -24,19 +26,19 @@ import numpy as np
 
 from .geom import RotatedBox, box_corners
 
-# on-edge classification and vertex-merge tolerance, in pixels
+# clip_convex's on-edge and vertex-merge tolerance, in pixels
 _EPS = 1e-9
 # candidate pairs per step of the exact stage; bounds its temporaries
 _BLOCK = 1024
 # candidate pairs per step of _sweep_pairs and of the IoU upper bound; bounds
 # their one-dimensional temporaries
 _STEP = 4 * _BLOCK
-# inclusive slack of the exact stage's tests: on the edge parameters of a
-# crossing, and (scaled by the box's area) on the inside tests
-_REL_TOL = 1e-10
-# largest |cx|, |cy|, w or h the exact stage takes: products of two such
-# values in its edge cross products stay finite
+# largest |cx|, |cy|, w or h the exact stage takes: the other box's corners
+# in the first box's frame then stay within 4e150, so the products of two
+# coordinates in its boundary terms stay below 2e301 and finite
 _MAX_PARAM = 1e150
+# clamp on the exact stage's crossing parameters t: x_k + t e_x never reads inf * 0
+_T_MAX = 1e300
 # IoU slack of greedy_nms's upper bound: a pair is dropped without the exact
 # stage only when the bound lies below the threshold by more than this
 _MARGIN = 1e-6
@@ -185,20 +187,13 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
 
 # columns of the per-box table built by _table, after the five box parameters:
 # cos and sin of theta and the area (the columns the IoU upper bound reads,
-# up to _AREA), bounding-box half extents (x, y), corner offsets from the centre
-# (four x, then four y) and the inside-test slack
-_COS, _SIN, _AREA, _EXT_X, _EXT_Y, _OFF_X, _OFF_Y, _TOL = 5, 6, 7, 8, 9, slice(10, 14), slice(14, 18), 18
+# up to _AREA) and the bounding-box half extents (x, y)
+_COS, _SIN, _AREA, _EXT_X, _EXT_Y = 5, 6, 7, 8, 9
 # corner offsets in half-side units, counter-clockwise from (-w/2, -h/2) as in box_corners
 _SIGN_U = np.array([-1.0, 1.0, 1.0, -1.0])
 _SIGN_V = np.array([-1.0, -1.0, 1.0, 1.0])
 # edge k runs from corner k to corner k + 1
 _NEXT4 = np.array([1, 2, 3, 0])
-# table column of each edge's length: edges 0 and 2 run along w, 1 and 3 along h
-_EDGE = np.array([2, 3, 2, 3])
-# |sin| of the angle between two edges below which they count as parallel
-_PARALLEL = 1e-9
-_SLOTS = np.arange(24)
-_TINY = np.finfo(np.float64).tiny
 
 
 def _rows(boxes) -> np.ndarray:
@@ -209,17 +204,14 @@ def _rows(boxes) -> np.ndarray:
 
 
 def _table(arr: np.ndarray) -> np.ndarray:
-    """Validated box rows extended by what every pair needs from one box (see ``_EXT_X`` and on).
+    """Validated box rows extended by what every pair needs from one box (see ``_COS`` and on).
 
-    Cosine and sine go through libm, so no entry depends on its neighbours
-    in the array. A box's half extent is its largest corner offset, which
-    is the same float as hw |cos| + hh |sin|. The slack is in the units of
-    the edge cross products: _REL_TOL * w * h allows a point _REL_TOL * h
-    beyond a long edge and _REL_TOL * w beyond a short one.
+    Cosine and sine go through libm, so no entry depends on its neighbours in the array.
+    The half extents hw |cos| + hh |sin| and hw |sin| + hh |cos| are the largest corner offsets.
     """
     if not np.isfinite(arr).all():
         raise ValueError("box parameters must be finite")
-    t = np.empty((len(arr), 19), dtype=np.float64)
+    t = np.empty((len(arr), 10), dtype=np.float64)
     t[:, :5] = arr
     with np.errstate(over="ignore"):
         t[:, _AREA] = arr[:, 2] * arr[:, 3]
@@ -229,15 +221,10 @@ def _table(arr: np.ndarray) -> np.ndarray:
         raise ValueError("box area w * h overflows to infinity")
     if (np.abs(arr[:, :4]) > _MAX_PARAM).any():
         raise ValueError(f"box centre and sides must not exceed {_MAX_PARAM:g} in magnitude")
-    t[:, _TOL] = _REL_TOL * t[:, _AREA]
     angles = arr[:, 4].tolist()
-    c, s = (np.fromiter(map(f, angles), np.float64, len(angles))[:, None] for f in (math.cos, math.sin))
-    t[:, _COS], t[:, _SIN] = c[:, 0], s[:, 0]
-    lu, lv = _SIGN_U * (arr[:, 2:3] / 2.0), _SIGN_V * (arr[:, 3:4] / 2.0)
-    t[:, _OFF_X] = lu * c - lv * s
-    t[:, _OFF_Y] = lu * s + lv * c
-    t[:, _EXT_X] = t[:, _OFF_X].max(axis=1)
-    t[:, _EXT_Y] = t[:, _OFF_Y].max(axis=1)
+    t[:, _COS], t[:, _SIN] = (np.fromiter(map(f, angles), np.float64, len(angles)) for f in (math.cos, math.sin))
+    c, s, hw, hh = np.abs(t[:, _COS]), np.abs(t[:, _SIN]), arr[:, 2] / 2.0, arr[:, 3] / 2.0
+    t[:, _EXT_X], t[:, _EXT_Y] = hw * c + hh * s, hw * s + hh * c
     return t
 
 
@@ -334,7 +321,7 @@ def _iou_upper(t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     with F and G swapped, and the smaller overlap counts.
     """
     # gathering the few columns needed, transposed, keeps both the gathers and
-    # the arithmetic on contiguous rows, several times faster than on (n, 19) rows
+    # the arithmetic on contiguous rows, several times faster than on (n, 10) rows
     cols = np.ascontiguousarray(t[:, : _AREA + 1].T)
     out = np.empty(len(i))
     for k in range(0, len(i), _STEP):
@@ -361,61 +348,53 @@ def _overlap(h1, d, h2):
 
 
 def _pair_iou(f, g) -> np.ndarray:
-    """IoU of the table rows (f[k], g[k]) for one block of candidate pairs."""
-    k = len(f)
-    # a frame at F's centre; G's corners are shifted by the centre offset
-    fx, fy = f[:, _OFF_X], f[:, _OFF_Y]
-    gx, gy = g[:, _OFF_X] + (g[:, 0:1] - f[:, 0:1]), g[:, _OFF_Y] + (g[:, 1:2] - f[:, 1:2])
+    """IoU of the table rows (f[k], g[k]) for one block of candidate pairs.
 
-    # [i, j] over F's edge i and G's edge j: F_i + t (F_i+1 - F_i) = G_j + u (G_j+1 - G_j).
-    # The numerators are cross products that also place F_i against G's edge j
-    # (inside: >= 0) and G_j against F's edge i (inside: <= 0).
-    efx, efy = (fx[:, _NEXT4] - fx)[:, :, None], (fy[:, _NEXT4] - fy)[:, :, None]
-    egx, egy = (gx[:, _NEXT4] - gx)[:, None, :], (gy[:, _NEXT4] - gy)[:, None, :]
-    wx, wy = gx[:, None, :] - fx[:, :, None], gy[:, None, :] - fy[:, :, None]
-    side_f = wx * egy - wy * egx
-    side_g = wx * efy - wy * efx
-    # each (K, 4, 4) temporary is dropped once used, which keeps a block near 1 MB
-    del wx, wy
-    inside_f = (side_f >= -g[:, _TOL, None, None]).all(axis=2)
-    inside_g = (side_g <= f[:, _TOL, None, None]).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        det = efx * egy - efy * egx
-        t = side_f / det
-        u = side_g / det
-        del side_f, side_g
-        cross = (np.abs(t - 0.5) <= 0.5 + _REL_TOL) & (np.abs(u - 0.5) <= 0.5 + _REL_TOL)
-        # near-parallel edges give t and u from rounding noise: such a crossing is
-        # spurious, and a true one there sits on a corner the inside tests keep
-        cross &= np.abs(det) > _PARALLEL * f[:, _EDGE, None] * g[:, None, _EDGE]
-        del det, u
-        cx = fx[:, :, None] + t * efx
-        cy = fy[:, :, None] + t * efy
-        del t
-
-    # up to 24 candidate vertices: corners inside the other box, then the crossings
-    valid = np.concatenate([inside_f, inside_g, cross.reshape(k, 16)], axis=1)
-    xs = np.where(valid, np.concatenate([fx, gx, cx.reshape(k, 16)], axis=1), 0.0)
-    del cx
-    ys = np.where(valid, np.concatenate([fy, gy, cy.reshape(k, 16)], axis=1), 0.0)
-    del cy
-    n = valid.sum(axis=1)[:, None]
-    xs -= xs.sum(axis=1, keepdims=True) / np.maximum(n, 1)
-    ys -= ys.sum(axis=1, keepdims=True) / np.maximum(n, 1)
-
-    # order by a pseudo-angle around the mean, monotone in the true angle over [-2, 2];
-    # invalid slots sort last and then repeat the first vertex, so they add no area
-    key = np.copysign(1.0 - xs / np.maximum(np.abs(xs) + np.abs(ys), _TINY), ys)
-    order = np.argsort(np.where(valid, key, 3.0), axis=1, kind="stable")
-    del key
-    order = np.where(_SLOTS < n, order, order[:, :1])
-    rows = np.arange(k)[:, None]
-    xs, ys = xs[rows, order], ys[rows, order]
-    del order
-    area2 = (xs[:, :-1] * ys[:, 1:] - xs[:, 1:] * ys[:, :-1]).sum(axis=1)
-    area2 += xs[:, -1] * ys[:, 0] - xs[:, 0] * ys[:, -1]
-    inter = np.maximum(area2 / 2.0, 0.0)
-    return np.minimum(inter / (f[:, _AREA] + g[:, _AREA] - inter), 1.0)
+    In F's frame F is |x| <= hw, |y| <= hh. By Green's theorem twice the
+    intersection area sums P x Q over its boundary: G's edge k inside F over
+    parameters [t0, t1] adds (t1 - t0) (P_k x P_k+1), and a piece of F's side
+    inside G adds its length times the side's distance from the centre. Exact
+    quarter turns bring each side to the bottom, y = -depth, where edge k meets
+    its line at t = (-depth - y_k) / e_y, x = x_k + t e_x: that one crossing
+    clips both the edge to F and the side to G. Exact ties count G as shrunk by
+    an infinitesimal: a side of F on G's boundary is outside G, and an edge of
+    G on F's boundary is inside F only where it runs the way of F's side.
+    """
+    f, g = f.T, g.T  # one row per column, so every temporary runs along the pairs
+    cf, sf, cg, sg = f[_COS], f[_SIN], g[_COS], g[_SIN]
+    # G's centre, cos and sin relative to F, and its corners (as in box_corners) in the frames
+    # of F's bottom, right, top and left sides: frame m has x in pts[m] and y in pts[m + 1]
+    ox, oy = g[0] - f[0], g[1] - f[1]
+    dx, dy, c, s = cf * ox + sf * oy, cf * oy - sf * ox, cf * cg + sf * sg, cf * sg - sf * cg
+    u, v = _SIGN_U[:, None] * (g[2] / 2.0), _SIGN_V[:, None] * (g[3] / 2.0)
+    xy = np.array([dx + (u * c - v * s), dy + (u * s + v * c)])
+    pts = np.concatenate([xy, -xy, xy[:1]])
+    nxt = pts.take(_NEXT4, axis=1)
+    edges = nxt - pts
+    px, py, ex, ey = pts[:4], pts[1:], edges[:4], edges[1:]
+    # each side's distance from F's centre (hh, hw, hh, hw), then its half length
+    half = f.take([3, 2, 3, 2, 3], axis=0) / 2.0
+    depth, half = half[:4], half[1:]
+    # [m, k] over F's side m and G's edge k; a flat edge (e_y == 0) gets a t the masks below never read
+    num = -depth[:, None] - py
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.maximum(np.minimum(num / ey, _T_MAX), -_T_MAX)
+        cross_x = px + t * ex
+    up, down, flat = ey > 0, ey < 0, ey == 0
+    # the side's line lies strictly inside G's half-plane of a flat edge
+    side_in = ex * num > 0
+    # G's edges clipped to F: a rising edge is inside for t >= the crossing, a falling one for
+    # t <= it, a flat one whole or not at all (on the side's line, where it runs the side's way).
+    # Frames m and m + 2 see an edge rise and fall in turn, so each max and min meets its fill.
+    t0 = np.where(up, t, 0.0).max(axis=0)
+    t1 = np.where(down, t, 1.0).min(axis=0)
+    lengths = np.where((flat & (side_in == (ex > 0))).any(axis=0), 0.0, np.maximum(t1 - t0, 0.0))
+    # F's sides clipped to G: a rising edge bounds the side's x from above, a falling one from below
+    hi = np.minimum(np.where(up, cross_x, np.inf).min(axis=1), half)
+    lo = np.maximum(np.where(down, cross_x, -np.inf).max(axis=1), -half)
+    sides = np.where((flat & ~side_in).any(axis=1), 0.0, np.maximum(hi - lo, 0.0))
+    inter = ((lengths * (xy[0] * nxt[1] - xy[1] * nxt[0])).sum(axis=0) + (depth * sides).sum(axis=0)) / 2.0
+    return np.clip(inter / (f[_AREA] + g[_AREA] - inter), 0.0, 1.0)
 
 
 def iou_oracle(a: RotatedBox, b: RotatedBox, samples: int = 1_000_000, seed: int = 0) -> float:

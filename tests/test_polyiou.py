@@ -171,6 +171,59 @@ class TestIou:
         assert abs(exact - approx) < 0.002
         assert 0.0 < exact < 1.0
 
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0, -1.2])
+    def test_long_thin_copy_moved_along_its_axis(self, theta):
+        # rotating the half sides into image axes before pairing lost the 1e3
+        # side of this 1e20 box: the pair read 0.0 at every angle but 0
+        a = RotatedBox(0, 0, 1e20, 1e3, theta)
+        b = RotatedBox(math.cos(theta), math.sin(theta), 1e20, 1e3, theta)
+        assert iou(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert iou(b, a) == pytest.approx(1.0, abs=1e-12)
+
+    def test_long_pair_with_close_vertex_angles(self):
+        # the right-hand vertices' sort keys rounded to one value, and the
+        # polygon traced out of order read 0.2308
+        a = RotatedBox(0, 0, 1e20, 1e3, 0.0)
+        b = RotatedBox(0, 250, 1e20, 1e3, 0.0)
+        assert iou(a, b) == pytest.approx(0.6, abs=1e-12)
+
+    def test_long_pair_far_along_its_axis_stays_in_unit_interval(self):
+        # the intersection came out above the sum of the areas, and the
+        # negative union gave -2.956
+        a = RotatedBox(0, 0, 1e20, 1e3, 0.3)
+        b = RotatedBox(3e19 * math.cos(0.3), 3e19 * math.sin(0.3), 1e20, 1e3, 0.3)
+        value = iou(a, b)
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(7.0 / 13.0, abs=1e-12)
+
+
+# exact integer boxes (cx, cy, w, h) at theta 0 around the 4 x 4 box at the
+# origin, with their exact IoU: shared edges, touches and own-axis shifts
+# are where the exact stage's tie rule decides
+_TIES = {
+    "nested": ((0, 0, 2, 2), 4 / 16),
+    "nested_one_shared_edge": ((-1, 0, 2, 2), 4 / 16),
+    "nested_two_shared_edges": ((-1, -1, 2, 2), 4 / 16),
+    "nested_three_shared_edges": ((-1, 0, 2, 4), 8 / 16),
+    "identical": ((0, 0, 4, 4), 1.0),
+    "outside_edge_touch": ((4, 0, 4, 4), 0.0),
+    "outside_part_edge_touch": ((3, 1, 2, 2), 0.0),
+    "outside_corner_touch": ((4, 4, 4, 4), 0.0),
+    "outside_corner_touch_small": ((-3, 3, 2, 2), 0.0),
+    "shift_along_x": ((1, 0, 4, 4), 12 / 20),
+    "shift_along_y": ((0, -2, 4, 4), 8 / 24),
+    "overlap_sharing_part_of_an_edge": ((2, 1, 6, 2), 6 / 22),
+}
+
+
+@pytest.mark.parametrize("other, expected", _TIES.values(), ids=_TIES.keys())
+def test_tie_rule_on_exact_boxes(other, expected):
+    # both argument orders, so that either box is the exact stage's first box
+    a = np.array([[0.0, 0.0, 4.0, 4.0, 0.0]])
+    b = np.array([[*other, 0.0]], dtype=np.float64)
+    assert iou_matrix(a, b)[0, 0] == expected
+    assert iou_matrix(b, a)[0, 0] == expected
+
 
 class TestIouMatrix:
     def test_shape_and_empty_sides(self):
@@ -229,6 +282,14 @@ class TestIouMatrix:
                 iou_matrix(far, small)
         edge = box_array([RotatedBox(1e150, -1e150, 1e150, 1e149, 0.3)])
         assert iou_matrix(edge, edge)[0, 0] == 1.0
+
+    def test_overflowing_crossing_reads_a_number(self):
+        # the 2e-300 short edge of g runs straight across f's bottom side, with
+        # e_x exactly 0, and its line meets that side's line at t = -2.5e309,
+        # beyond float range; g lies inside f, so the IoU is 4e-300 / 1e20
+        f = np.array([[-1.0, 0.0, 1e10, 1e10, 0.0]])
+        g = np.array([[0.0, 0.0, 2.0, 2e-300, 1e-290]])
+        assert iou_matrix(f, g)[0, 0] == iou_matrix(g, f)[0, 0] == pytest.approx(4e-320, rel=1e-3, abs=0)
 
     def test_scalar_keeps_zero_area_error(self):
         tiny = RotatedBox(0, 0, 1e-200, 1e-200, 0)
