@@ -175,7 +175,8 @@ def cmd_decode(args) -> int:
     by_image: dict[str, list[dec.PredictionMaps]] = {}
     for f in args.maps:
         path = Path(f)
-        image_id = path.name.split(".")[0]
+        # labelgen writes {image_id}.s{stride}.tmap, so the id is the name up to its last two dots
+        image_id = path.name.rsplit(".", 2)[0]
         by_image.setdefault(image_id, []).append(_sniff_maps(path))
 
     per_image = []

@@ -162,27 +162,10 @@ def _valid_rows(rows: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def _proposals(rows: np.ndarray, scores: np.ndarray) -> list[Proposal]:
     """One :class:`Proposal` per row of an (N, 5) box array and its score.
 
-    The first row that fails a check raises the constructors' own
-    ``ValueError``; the others are built without running those checks again.
+    Each goes through both constructors, so the first row that fails a check
+    raises their own ``ValueError``.
     """
-    bad = ~_valid_rows(rows, scores)
-    if bad.any():
-        k = int(np.argmax(bad))
-        Proposal(RotatedBox(*rows[k].tolist()), float(scores[k]))  # raises
-    new, put = object.__new__, object.__setattr__
-    out = []
-    for cx, cy, w, h, theta, score in zip(*rows.T.tolist(), scores.tolist()):
-        box = new(RotatedBox)
-        put(box, "cx", cx)
-        put(box, "cy", cy)
-        put(box, "w", w)
-        put(box, "h", h)
-        put(box, "theta", theta)
-        prop = new(Proposal)
-        put(prop, "box", box)
-        put(prop, "score", score)
-        out.append(prop)
-    return out
+    return [Proposal(RotatedBox(*row), score) for row, score in zip(rows.tolist(), scores.tolist())]
 
 
 class Detections(Sequence):
@@ -205,9 +188,8 @@ class Detections(Sequence):
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         if not len(ids) == len(rows) == len(scores):
             raise ValueError(f"{len(ids)} image ids, {len(rows)} boxes and {len(scores)} scores")
-        bad = ~_valid_rows(rows, scores)
-        if bad.any():
-            _proposals(rows[bad][:1], scores[bad][:1])  # raises the first bad row's error
+        if not _valid_rows(rows, scores).all():
+            _proposals(rows, scores)  # raises the first bad row's error
         self._set(ids, rows, scores, None, None)
 
     def _set(self, ids, rows, scores, base, picked) -> None:

@@ -125,10 +125,10 @@ def iou_matrix(a, b) -> np.ndarray:
     rows; the result is an (N, M) float64 matrix. Only the pairs whose
     axis-aligned bounding boxes meet go through the exact stage, in blocks
     of ``_BLOCK``, so memory stays bounded by the pair list and one block;
-    every other entry is 0. Each pair is ordered by its (cx, cy, w, h,
-    theta) tuples before any arithmetic, so ``iou_matrix(b, a)`` is
-    bit-for-bit the transpose of ``iou_matrix(a, b)``, and identical boxes
-    read exactly 1.
+    every other entry is 0. The exact stage orders each pair by its two
+    (cx, cy, w, h, theta) rows before any arithmetic (see :func:`_exact`),
+    so ``iou_matrix(b, a)`` is bit-for-bit the transpose of
+    ``iou_matrix(a, b)``, and identical boxes read exactly 1.
     """
     a, b = _rows(a), _rows(b)
     # a's rows, then b's, which start at row len(a)
@@ -136,7 +136,7 @@ def iou_matrix(a, b) -> np.ndarray:
     i, j = _aabb_pairs(table[: len(a)], table[len(a) :])
     out = np.zeros((len(a), len(b)), dtype=np.float64)
     if len(i):
-        out[i, j] = _exact(table, _tuple_rank(table[:, :5]), i, j + len(a))
+        out[i, j] = _exact(table, i, j + len(a))
     return out
 
 
@@ -159,7 +159,6 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
     result is that of the sequential greedy pass over all pairs.
     """
     table = _table(_rows(boxes))
-    rank = _tuple_rank(table[:, :5])
     i, j = _sweep_pairs(table)
     near = _iou_upper(table, i, j) >= iou_threshold - _MARGIN
     # the pair list only ever holds pairs whose rows are both undecided
@@ -174,7 +173,7 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
         fresh = new[i]
         if fresh.any():
             later = j[fresh]
-            undecided[later[_exact(table, rank, i[fresh], later) > iou_threshold]] = False
+            undecided[later[_exact(table, i[fresh], later) > iou_threshold]] = False
         live = undecided[i] & undecided[j]
         i, j = i[live], j[live]
     return np.flatnonzero(kept)
@@ -228,27 +227,22 @@ def _table(arr: np.ndarray) -> np.ndarray:
     return t
 
 
-def _tuple_rank(params: np.ndarray) -> np.ndarray:
-    """Dense rank of each row in lexicographic order; equal rows share a rank."""
-    order = np.lexsort(params.T[::-1])
-    ranked = params[order]
-    rank = np.empty(len(params), dtype=np.intp)
-    rank[order] = np.concatenate([[0], np.cumsum((ranked[1:] != ranked[:-1]).any(axis=1))])
-    return rank
-
-
-def _exact(table: np.ndarray, rank: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _exact(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Exact IoU of the table row pairs (i[k], j[k]), in blocks of ``_BLOCK``.
 
-    ``rank`` is the :func:`_tuple_rank` of the table's box parameters.
+    A pair's first box is the one whose (cx, cy, w, h, theta) row is smaller
+    at the first column where the two rows differ, so the result does not
+    depend on the order of the pair; a pair of equal rows reads exactly 1.
     """
     vals = np.empty(len(i), dtype=np.float64)
     for k in range(0, len(i), _BLOCK):
         bi, bj = i[k : k + _BLOCK], j[k : k + _BLOCK]
-        # the pair's first box is the one with the smaller tuple
-        swap = rank[bj] < rank[bi]
+        f, g = table.take(bi, axis=0), table.take(bj, axis=0)
+        differ = f != g  # columns past the first five follow from them, so rows first differ in one of those
+        first = np.arange(len(bi)), differ.argmax(axis=1)
+        swap = g[first] < f[first]
         v = _pair_iou(table.take(np.where(swap, bj, bi), axis=0), table.take(np.where(swap, bi, bj), axis=0))
-        v[rank[bi] == rank[bj]] = 1.0
+        v[~differ[first]] = 1.0
         vals[k : k + _BLOCK] = v
     return vals
 

@@ -218,9 +218,11 @@ def make_levels(
     """Level specs covering an image, one grid cell per stride step."""
     if image_w < 1 or image_h < 1:
         raise ValueError(f"image size must be at least 1x1, got {image_w}x{image_h}")
-    for s in strides:
+    for n, s in enumerate(strides):
         if s < 1:
             raise ValueError(f"stride must be >= 1, got {s}")
+        if s in strides[:n]:
+            raise ValueError(f"stride {s} given more than once")
     return [
         LevelSpec(
             stride=s,

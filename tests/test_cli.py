@@ -351,6 +351,19 @@ class TestLabelgenAndDecode:
         assert "error: stride must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_labelgen_repeated_stride_rejected(self, scene, tmp_path, capsys):
+        # both stride-4 levels would be saved to the same file, the empty one last
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(
+            ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", "--strides", "4", "4", "--output", str(out_dir)]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: stride 4 given more than once"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -472,6 +485,29 @@ class TestLabelgenAndDecode:
             decoded = [p.box for i, p in pairs(records) if i == image_id]
             for gt in gts:
                 assert max(iou(gt, d) for d in decoded) >= 0.5
+
+    def test_decode_keeps_dotted_image_ids_apart(self, scene, tmp_path, capsys):
+        # labelgen names maps {image_id}.s{stride}.tmap, so decode reads the id
+        # back as the file name without its last two suffixes
+        _, gt_dir, _, _ = scene
+        for n, image_id in enumerate(("img.1", "img.2")):
+            write_gt_icdar15(gt_dir / f"gt_{image_id}.txt", [RotatedBox(100 + 200 * n, 80, 40, 16, 0.3)])
+        for path in gt_dir.glob("gt_img_*.txt"):
+            path.unlink()
+        out_dir, _ = self.run_labelgen(scene, tmp_path, capsys)
+        maps = sorted(out_dir.glob("*.tmap"))
+        assert [p.name for p in maps][:2] == ["img.1.s16.tmap", "img.1.s32.tmap"]
+        # decoding both images at once gives each image's own decode, in id order
+        lines = []
+        for image_id, files in [("both", maps), ("img.1", maps[:4]), ("img.2", maps[4:])]:
+            det_file = tmp_path / f"{image_id}.txt"
+            assert main(["decode", *map(str, files), "--output", str(det_file)]) == 0
+            capsys.readouterr()
+            lines.append(det_file.read_text().splitlines())
+        both, one, two = lines
+        assert {line.split()[0] for line in one} == {"img.1"}
+        assert {line.split()[0] for line in two} == {"img.2"}
+        assert both == one + two
 
     def test_decode_threshold_one_empty(self, scene, tmp_path, capsys):
         out_dir, _ = self.run_labelgen(scene, tmp_path, capsys)

@@ -371,7 +371,7 @@ class TestPolygonNms:
         assert loop_nms(props, 0.3) == [a, c, e]
         calls = []
         exact = polyiou._exact
-        monkeypatch.setattr(polyiou, "_exact", lambda *args: calls.append(args[2]) or exact(*args))
+        monkeypatch.setattr(polyiou, "_exact", lambda *args: calls.append(args[1]) or exact(*args))
         assert list(polygon_nms(record(props), 0.3)) == [a, c, e]
         assert [rows.tolist() for rows in calls] == [[0], [2]]
 
@@ -385,7 +385,7 @@ class TestPolygonNms:
         assert loop_nms(chain[::-1], 0.3) == [a, c, e, g]
         rounds = []
         exact = polyiou._exact
-        monkeypatch.setattr(polyiou, "_exact", lambda *args: rounds.append(args[2]) or exact(*args))
+        monkeypatch.setattr(polyiou, "_exact", lambda *args: rounds.append(args[1]) or exact(*args))
         assert list(polygon_nms(record(chain[::-1]), 0.3)) == [a, c, e, g]
         assert len(rounds) == 3
 
@@ -413,7 +413,7 @@ class TestPolygonNms:
         aabb_pairs = len(polyiou._sweep_pairs(table)[0])
         firsts = []
         exact = polyiou._exact
-        monkeypatch.setattr(polyiou, "_exact", lambda *args: firsts.append(args[2]) or exact(*args))
+        monkeypatch.setattr(polyiou, "_exact", lambda *args: firsts.append(args[1]) or exact(*args))
         kept = polyiou.greedy_nms(boxes, 0.3)
         first = np.concatenate(firsts)
         assert 0 < len(first) < aabb_pairs

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rboxkit import polyiou
@@ -141,3 +141,41 @@ def test_tolerance_covers_only_rounding():
     b = ExactBox(Fraction(1), Fraction(0), Fraction(2), Fraction(1), Fraction(1), Fraction(0))
     assert exact_iou(a, b) == Fraction(3, 5)
     assert tolerance(a, b) < 1e-12
+
+
+@st.composite
+def _cluster(draw):
+    """2 to 8 boxes in priority order around one or two centres, some of them copies or own-axis moves."""
+    centres = draw(st.lists(_box(), min_size=1, max_size=2))
+    near = _centre.map(lambda d: d / 4)
+    boxes = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind = draw(st.sampled_from(["near", "near", "copy", "own_axis"]) if boxes else st.just("near"))
+        if kind == "near":
+            c = draw(st.sampled_from(centres))
+            boxes.append(draw(_box(cx=near.map(lambda d: c.cx + d), cy=near.map(lambda d: c.cy + d))))
+        elif kind == "copy":
+            boxes.append(draw(st.sampled_from(boxes)))
+        else:
+            b = draw(st.sampled_from(boxes))
+            f = draw(_fraction)
+            boxes.append(_moved(b, f * b.hw, 0) if draw(st.booleans()) else _moved(b, 0, f * b.hh))
+    return boxes
+
+
+@given(_cluster(), st.sampled_from([0.1, 0.3, 0.5, 0.7]))
+def test_greedy_nms_keeps_the_exact_greedy_rows(boxes, threshold):
+    n = len(boxes)
+    thr = Fraction(threshold)
+    exact = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            exact[i, j] = exact_iou(boxes[i], boxes[j])
+            # a pair this close to the threshold may fall either way in floats
+            assume(abs(exact[i, j] - thr) > tolerance(boxes[i], boxes[j]))
+    kept = []
+    for j in range(n):
+        if all(exact[i, j] <= thr for i in kept):
+            kept.append(j)
+    rows = np.array([kernel_row(b) for b in boxes])
+    assert polyiou.greedy_nms(rows, threshold).tolist() == kept

@@ -202,6 +202,15 @@ class TestAssignLevel:
             assign_level(RotatedBox(0, 0, 10, 10, 0), [])
 
 
+class TestMakeLevels:
+    @pytest.mark.parametrize("strides", [(4, 4), (4, 8, 16, 8)])
+    def test_repeated_stride_rejected(self, strides):
+        # two levels of one stride would both be saved as <id>.s<stride>.tmap
+        repeated = strides[-1]
+        with pytest.raises(ValueError, match=f"stride {repeated} given more than once"):
+            make_levels(64, 48, strides=strides)
+
+
 class TestEnumerateCandidates:
     def test_counts_without_long(self):
         out = enumerate_candidates(level(16), ShapeCandidateSet())
