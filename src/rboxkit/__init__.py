@@ -52,14 +52,7 @@ from .losses import (
     smooth_l1,
     total_loss,
 )
-from .polyiou import (
-    box_array,
-    clip_convex,
-    iou,
-    iou_matrix,
-    iou_oracle,
-    polygon_area,
-)
+from .polyiou import box_array, iou, iou_matrix, iou_oracle
 from .targets import (
     LevelSpec,
     ShapeCandidateSet,

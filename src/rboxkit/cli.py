@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import decode as dec
 from . import evalkit, formats, polyiou, targets
-from .geom import Detections, RotatedBox
+from .geom import Detections, RotatedBox, _corners
 
 DEFAULT_STRIDES = (4, 8, 16, 32)
 DEFAULT_LONG_RATIO_STRIDES = (4, 8)
@@ -112,23 +111,22 @@ def cmd_proposal_recall(args) -> int:
 
 
 def _in_bounds(boxes: list[RotatedBox], width: float, height: float) -> np.ndarray:
-    """Whether all four corners of each box lie in the image, by the arithmetic of ``geom.box_corners``."""
-    cx, cy, w, h, theta = np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes]).reshape(-1, 5).T
-    # libm cos and sin, one value at a time, as box_corners takes them
-    c, s = (np.fromiter(map(f, theta.tolist()), np.float64, len(theta))[:, None] for f in (math.cos, math.sin))
-    lx = (w / 2.0)[:, None] * np.array([-1.0, 1.0, 1.0, -1.0])
-    ly = (h / 2.0)[:, None] * np.array([-1.0, -1.0, 1.0, 1.0])
-    x, y = cx[:, None] + lx * c - ly * s, cy[:, None] + lx * s + ly * c
+    """Whether all four corners of each box, as ``geom.box_corners`` gives them, lie in the image."""
+    x, y = _corners([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes])
     return (x.min(1) >= 0) & (y.min(1) >= 0) & (x.max(1) <= width) & (y.max(1) <= height)
 
 
 def cmd_labelgen(args) -> int:
+    # a long-ratio stride given on the command line must name a level; the default may name none
+    for s in args.long_ratio_strides or ():
+        if s not in args.strides:
+            raise ValueError(f"long-ratio stride {s} is not one of the strides {tuple(args.strides)}")
     levels = targets.make_levels(
         args.image_width,
         args.image_height,
         strides=tuple(args.strides),
         k=args.k,
-        long_ratio_strides=tuple(args.long_ratio_strides),
+        long_ratio_strides=tuple(args.long_ratio_strides or DEFAULT_LONG_RATIO_STRIDES),
     )
     shrink = targets.ShrinkParams(args.sigma1, args.sigma2)
     candidates = targets.ShapeCandidateSet(
@@ -173,11 +171,18 @@ def cmd_decode(args) -> int:
     if args.top_n is not None and args.top_n <= 0:
         raise ValueError(f"top-N must be positive, got {args.top_n}")
     by_image: dict[str, list[dec.PredictionMaps]] = {}
+    # the file that gave each (image id, stride)
+    seen: dict[tuple[str, int], Path] = {}
     for f in args.maps:
         path = Path(f)
         # labelgen writes {image_id}.s{stride}.tmap, so the id is the name up to its last two dots
         image_id = path.name.rsplit(".", 2)[0]
-        by_image.setdefault(image_id, []).append(_sniff_maps(path))
+        maps = _sniff_maps(path)
+        key = image_id, maps.level.stride
+        if key in seen:
+            raise ValueError(f"map files {seen[key]} and {path} both give image {image_id!r} at stride {key[1]}")
+        seen[key] = path
+        by_image.setdefault(image_id, []).append(maps)
 
     per_image = []
     total_cells = 0
@@ -306,9 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scales", type=_FLOAT, nargs="+", default=(8, 16, 32, 64))
         p.add_argument("--ratios", type=_FLOAT, nargs="+", default=(1, 2, 4))
         p.add_argument("--long-ratios", type=_FLOAT, nargs="+", default=(3, 5, 7))
-        p.add_argument(
-            "--long-ratio-strides", type=_INT, nargs="+", default=DEFAULT_LONG_RATIO_STRIDES
-        )
+        # None when not given: labelgen then uses DEFAULT_LONG_RATIO_STRIDES, which may name no level
+        p.add_argument("--long-ratio-strides", type=_INT, nargs="+", default=None)
 
     p = sub.add_parser("evaluate", help="precision/recall/F over a detection file")
     p.add_argument("--detections", required=True)

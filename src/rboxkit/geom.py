@@ -326,15 +326,26 @@ def quad_to_rotated_box(q: Quad) -> RotatedBox:
     return RotatedBox(cx, cy, w, h, theta)
 
 
+# corner offsets in half-side units along the box's own axes, counter-clockwise from (-w/2, -h/2)
+_CORNER_U = np.array([-1.0, 1.0, 1.0, -1.0])
+_CORNER_V = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def _corners(rows) -> tuple[np.ndarray, np.ndarray]:
+    """x and y, each (N, 4), of the corners of (N, 5) rows of (cx, cy, w, h, theta), as :func:`box_corners` orders them.
+
+    Cosine and sine go through libm one value at a time, so no row's corners depend on the others.
+    """
+    cx, cy, w, h, theta = np.asarray(rows, dtype=np.float64).reshape(-1, 5).T
+    c, s = (np.fromiter(map(f, theta.tolist()), np.float64, len(theta))[:, None] for f in (math.cos, math.sin))
+    u, v = (w / 2.0)[:, None] * _CORNER_U, (h / 2.0)[:, None] * _CORNER_V
+    return cx[:, None] + u * c - v * s, cy[:, None] + u * s + v * c
+
+
 def box_corners(b: RotatedBox) -> np.ndarray:
     """4x2 array of corner coordinates, counter-clockwise from (-w/2, -h/2)."""
-    c, s = math.cos(b.theta), math.sin(b.theta)
-    hw, hh = b.w / 2.0, b.h / 2.0
-    local = ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))
-    return np.array(
-        [(b.cx + lx * c - ly * s, b.cy + lx * s + ly * c) for lx, ly in local],
-        dtype=np.float64,
-    )
+    x, y = _corners((b.cx, b.cy, b.w, b.h, b.theta))
+    return np.column_stack([x[0], y[0]])
 
 
 def rotated_box_to_quad(b: RotatedBox) -> Quad:

@@ -1,21 +1,19 @@
-"""Exact convex-polygon intersection, rotated-box IoU and related kernels.
+"""Exact rotated-box IoU, greedy NMS on it, and a Monte-Carlo check.
 
-Polygons are (n, 2) float arrays of vertices in counter-clockwise order
-(positive shoelace area). Box-box intersections produce at most 8
-vertices once near-duplicates are merged.
+Boxes are (N, 5) float64 arrays of (cx, cy, w, h, theta) rows;
+:func:`box_array` builds one from :class:`RotatedBox` values.
 
-:func:`iou_matrix` is the one rotated-IoU kernel: it works on (N, 5) box
-arrays, lists the pairs whose bounding boxes meet and computes only those
-exactly, in the first box's frame, by summing the pieces of the
-intersection's boundary (Green's theorem) with no vertex list, sort or
-tolerance; scalar :func:`iou` is its 1x1 case. :func:`greedy_nms` runs
-greedy suppression on the same exact stage: it lists its pairs with a
-sort-and-sweep on x, drops the pairs whose IoU an upper bound from the two
-boxes' parameters puts more than ``_MARGIN`` below the threshold, and
-computes exactly only the other pairs that greedy reads.
-:func:`clip_convex` (Sutherland-Hodgman) and
-:func:`iou_oracle` (Monte Carlo) stay as the independent references it is
-tested against.
+:func:`iou_matrix` is the one rotated-IoU kernel: it lists the pairs whose
+bounding boxes meet and computes only those exactly, in the first box's
+frame, by summing the pieces of the intersection's boundary (Green's
+theorem) with no vertex list, sort or tolerance; scalar :func:`iou` is its
+1x1 case. :func:`greedy_nms` runs greedy suppression on the same exact
+stage: it lists its pairs with a sort-and-sweep on x, drops the pairs whose
+IoU an upper bound from the two boxes' parameters puts more than
+``_MARGIN`` below the threshold, and computes exactly only the other pairs
+that greedy reads. :func:`iou_oracle` estimates one pair's IoU by
+Monte-Carlo sampling, the independent check that ``rboxkit iou`` prints
+next to the exact value.
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ import math
 
 import numpy as np
 
-from .geom import RotatedBox, box_corners
+from .geom import _CORNER_U, _CORNER_V, RotatedBox, box_corners
 
-# clip_convex's on-edge and vertex-merge tolerance, in pixels
-_EPS = 1e-9
 # candidate pairs per step of the exact stage; bounds its temporaries
 _BLOCK = 1024
 # candidate pairs per step of _sweep_pairs and of the IoU upper bound; bounds
@@ -42,75 +38,6 @@ _T_MAX = 1e300
 # IoU slack of greedy_nms's upper bound: a pair is dropped without the exact
 # stage only when the bound lies below the threshold by more than this
 _MARGIN = 1e-6
-
-
-def polygon_area(vertices) -> float:
-    """Non-negative shoelace area of a polygon; 0 for fewer than 3 vertices."""
-    pts = np.asarray(vertices, dtype=np.float64)
-    if pts.ndim != 2 or len(pts) < 3:
-        return 0.0
-    return abs(_signed_area2(pts)) / 2.0
-
-
-def _signed_area2(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _merge_close(pts: list[tuple[float, float]]) -> np.ndarray:
-    """Drop consecutive vertices closer than the merge tolerance."""
-    out: list[tuple[float, float]] = []
-    for p in pts:
-        if out and abs(p[0] - out[-1][0]) <= _EPS and abs(p[1] - out[-1][1]) <= _EPS:
-            continue
-        out.append(p)
-    if len(out) > 1 and abs(out[0][0] - out[-1][0]) <= _EPS and abs(out[0][1] - out[-1][1]) <= _EPS:
-        out.pop()
-    return np.array(out, dtype=np.float64) if out else np.empty((0, 2), dtype=np.float64)
-
-
-def clip_convex(subject, clip) -> np.ndarray:
-    """Intersection of two convex polygons (Sutherland-Hodgman).
-
-    Returns the intersection vertices counter-clockwise, or an empty
-    (0, 2) array when the polygons do not overlap in area.
-    """
-    out = [(float(x), float(y)) for x, y in np.asarray(subject, dtype=np.float64)]
-    clip_pts = np.asarray(clip, dtype=np.float64)
-    if len(out) < 3 or len(clip_pts) < 3:
-        return np.empty((0, 2), dtype=np.float64)
-    if _signed_area2(np.asarray(out)) < 0.0:
-        out.reverse()
-    if _signed_area2(clip_pts) < 0.0:
-        clip_pts = clip_pts[::-1]
-
-    n = len(clip_pts)
-    for k in range(n):
-        if not out:
-            break
-        ax, ay = clip_pts[k]
-        bx, by = clip_pts[(k + 1) % n]
-        ex, ey = bx - ax, by - ay
-        inp = out
-        out = []
-        sx, sy = inp[-1]
-        s_side = ex * (sy - ay) - ey * (sx - ax)
-        for px, py in inp:
-            p_side = ex * (py - ay) - ey * (px - ax)
-            if p_side >= -_EPS:
-                if s_side < -_EPS:
-                    t = s_side / (s_side - p_side)
-                    out.append((sx + t * (px - sx), sy + t * (py - sy)))
-                out.append((px, py))
-            elif s_side >= -_EPS:
-                t = s_side / (s_side - p_side)
-                out.append((sx + t * (px - sx), sy + t * (py - sy)))
-            sx, sy, s_side = px, py, p_side
-
-    result = _merge_close(out)
-    if len(result) < 3 or polygon_area(result) <= 0.0:
-        return np.empty((0, 2), dtype=np.float64)
-    return result
 
 
 def box_array(boxes) -> np.ndarray:
@@ -188,9 +115,6 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
 # cos and sin of theta and the area (the columns the IoU upper bound reads,
 # up to _AREA) and the bounding-box half extents (x, y)
 _COS, _SIN, _AREA, _EXT_X, _EXT_Y = 5, 6, 7, 8, 9
-# corner offsets in half-side units, counter-clockwise from (-w/2, -h/2) as in box_corners
-_SIGN_U = np.array([-1.0, 1.0, 1.0, -1.0])
-_SIGN_V = np.array([-1.0, -1.0, 1.0, 1.0])
 # edge k runs from corner k to corner k + 1
 _NEXT4 = np.array([1, 2, 3, 0])
 
@@ -360,7 +284,7 @@ def _pair_iou(f, g) -> np.ndarray:
     # of F's bottom, right, top and left sides: frame m has x in pts[m] and y in pts[m + 1]
     ox, oy = g[0] - f[0], g[1] - f[1]
     dx, dy, c, s = cf * ox + sf * oy, cf * oy - sf * ox, cf * cg + sf * sg, cf * sg - sf * cg
-    u, v = _SIGN_U[:, None] * (g[2] / 2.0), _SIGN_V[:, None] * (g[3] / 2.0)
+    u, v = _CORNER_U[:, None] * (g[2] / 2.0), _CORNER_V[:, None] * (g[3] / 2.0)
     xy = np.array([dx + (u * c - v * s), dy + (u * s + v * c)])
     pts = np.concatenate([xy, -xy, xy[:1]])
     nxt = pts.take(_NEXT4, axis=1)

@@ -203,7 +203,7 @@ def enumerate_candidates(level: LevelSpec, candidates: ShapeCandidateSet) -> lis
 def _candidate_table(level: LevelSpec, candidates: ShapeCandidateSet) -> tuple[np.ndarray, np.ndarray]:
     """A level's candidate (w, h) pairs and their shape codes, read-only and built once per pair of specs."""
     cand = np.array(enumerate_candidates(level, candidates))
-    enc = np.array([shape_encode(w, h, level) for w, h in cand])
+    enc = np.array([shape_encode(w, h, level) for w, h in cand.tolist()])
     cand.flags.writeable = enc.flags.writeable = False
     return cand, enc
 

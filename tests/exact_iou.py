@@ -7,6 +7,11 @@ with exact predicates, gives the exact intersection polygon and so the
 exact IoU. :func:`kernel_row` is the (cx, cy, w, h, theta) row the kernel
 reads for a box, and :func:`tolerance` bounds how far the kernel's IoU of
 those rows may lie from the exact one.
+
+The clipping is plain arithmetic, so :func:`intersection` also runs on
+float-valued boxes (float centre and half sides, libm cos and sin of the
+angle): it is then the float reference that the kernel is checked against
+on boxes at any angle.
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rboxkit
-from rboxkit import geom
+from rboxkit import formats, geom
 from rboxkit.cli import _in_bounds, build_parser, main
 from rboxkit.decode import PredictionMaps, save_prediction_maps
 from rboxkit.formats import read_detection_file, write_detection_file
 from rboxkit.geom import Proposal, RotatedBox, box_corners, rotated_box_to_quad
-from rboxkit.targets import LevelSpec
+from rboxkit.targets import LevelSpec, ShapeCandidateSet, ShrinkParams, generate_targets, make_levels, save_target_maps
 from records import pairs, record, record_of_pairs
 from test_decode import cli_order, loop_decode, loop_nms, random_maps
 from test_formats import loop_read_detection_file, loop_write_detection_file
@@ -371,8 +371,10 @@ class TestLabelgenAndDecode:
             (["--ratios", "1", "inf", "4"], "error: ratios must all be positive and finite"),
             # finite, but the candidate sides overflow to inf
             (["--scales", "8", "1e308"], "error: sizes must be positive and finite relative to k s"),
+            # both sides overflow, and print as plain floats (the line ends there), not numpy scalars
+            (["--scales", "1e308"], "error: sizes must be positive and finite relative to k s, got (inf, inf)\n"),
         ],
-        ids=["scale-nan", "ratio-inf", "scale-overflow"],
+        ids=["scale-nan", "ratio-inf", "scale-overflow", "scale-overflow-both-sides"],
     )
     def test_labelgen_bad_candidates_rejected(self, scene, tmp_path, capsys, flags, message):
         _, gt_dir, _, _ = scene
@@ -419,6 +421,40 @@ class TestLabelgenAndDecode:
         assert rc == 2
         assert "error: image size must be at least 1x1" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, stride",
+        [(["--long-ratio-strides", "5"], 5), (["--strides", "16", "32", "--long-ratio-strides", "16", "8"], 8)],
+        ids=["not-a-default-stride", "dropped-stride"],
+    )
+    def test_labelgen_long_ratio_stride_outside_strides_rejected(self, scene, tmp_path, capsys, flags, stride):
+        # a mistyped long-ratio stride would silently drop the long candidates of every level
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        rc = main(["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", *flags, "--output", str(out_dir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: long-ratio stride {stride} is not one of the strides")
+        assert not out_dir.exists()
+
+    def test_labelgen_default_long_ratio_strides_need_not_name_a_level(self, scene, tmp_path, capsys):
+        # the default (4, 8) names no level of --strides 16 32, so no level gets the long candidates
+        _, gt_dir, _, _ = scene
+        out_dir = tmp_path / "maps"
+        flags = ["--image-width", "512", "--image-height", "384", "--strides", "16", "32", "--output", str(out_dir)]
+        rc = main(["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", *flags])
+        assert rc == 0
+        levels = make_levels(512, 384, strides=(16, 32), long_ratio_strides=())
+        expected = tmp_path / "expected.tmap"
+        for path in sorted(gt_dir.glob("gt_*.txt")):
+            records, _ = formats.read_annotation_file(path, "icdar15")
+            boxes = [item.box for item in formats.to_ground_truth(records)]
+            for maps in generate_targets(boxes, levels, ShrinkParams(0.4, 0.5), ShapeCandidateSet()):
+                save_target_maps(maps, expected)
+                got = out_dir / f"{path.stem[3:]}.s{maps.level.stride}.tmap"
+                assert got.read_bytes() == expected.read_bytes()
 
     def test_labelgen_missing_gt_rejected(self, scene, tmp_path, capsys):
         out_dir = tmp_path / "maps"
@@ -508,6 +544,23 @@ class TestLabelgenAndDecode:
         assert {line.split()[0] for line in one} == {"img.1"}
         assert {line.split()[0] for line in two} == {"img.2"}
         assert both == one + two
+
+    def test_decode_two_files_for_one_level_rejected(self, scene, tmp_path, capsys):
+        # a second copy of a level's map would decode each of its cells twice
+        out_dir, _ = self.run_labelgen(scene, tmp_path, capsys)
+        first, second = out_dir / "img_1.s8.tmap", tmp_path / "copy" / "img_1.s8.tmap"
+        second.parent.mkdir()
+        second.write_bytes(first.read_bytes())
+        det_file = tmp_path / "dets_out.txt"
+        maps = [*sorted(out_dir.glob("*.tmap")), second]
+        rc = main(["decode", *map(str, maps), "--no-nms", "--output", str(det_file)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: map files {first} and {second} both give image 'img_1' at stride 8"
+        ]
+        assert not det_file.exists()
 
     def test_decode_threshold_one_empty(self, scene, tmp_path, capsys):
         out_dir, _ = self.run_labelgen(scene, tmp_path, capsys)

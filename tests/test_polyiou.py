@@ -6,19 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rboxkit import polyiou
-from rboxkit.geom import RotatedBox, box_corners
-from rboxkit.polyiou import (
-    box_array,
-    clip_convex,
-    iou,
-    iou_matrix,
-    iou_oracle,
-    polygon_area,
-)
+from rboxkit.geom import RotatedBox
+from rboxkit.polyiou import box_array, iou, iou_matrix, iou_oracle
+
+from exact_iou import ExactBox, intersection
 
 PI = math.pi
-
-UNIT_SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
 
 
 def random_box(rng, span=60.0):
@@ -27,55 +20,6 @@ def random_box(rng, span=60.0):
     h = rng.uniform(max(1.0, w / 10.0), w)
     theta = rng.uniform(-PI / 2, PI / 2 - 1e-9)
     return RotatedBox(cx, cy, w, h, theta)
-
-
-class TestPolygonArea:
-    def test_unit_square(self):
-        assert polygon_area(UNIT_SQUARE) == 1.0
-
-    def test_triangle(self):
-        assert polygon_area([(0, 0), (2, 0), (0, 2)]) == 2.0
-
-    def test_collinear_is_zero(self):
-        assert polygon_area([(0, 0), (1, 1), (2, 2)]) == 0.0
-
-    def test_orientation_independent(self):
-        assert polygon_area(UNIT_SQUARE[::-1]) == 1.0
-
-
-class TestClipConvex:
-    def test_identical_squares(self):
-        out = clip_convex(UNIT_SQUARE, UNIT_SQUARE)
-        assert polygon_area(out) == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        far = UNIT_SQUARE + 10.0
-        assert clip_convex(UNIT_SQUARE, far).shape == (0, 2)
-
-    def test_half_offset(self):
-        out = clip_convex(UNIT_SQUARE, UNIT_SQUARE + 0.5)
-        assert polygon_area(out) == pytest.approx(0.25)
-
-    def test_touching_edge_is_empty(self):
-        out = clip_convex(UNIT_SQUARE, UNIT_SQUARE + np.array([1.0, 0.0]))
-        assert len(out) == 0
-
-    def test_result_bounded_by_inputs(self):
-        rng = np.random.default_rng(41)
-        for _ in range(300):
-            a = box_corners(random_box(rng))
-            b = box_corners(random_box(rng))
-            out = clip_convex(a, b)
-            assert polygon_area(out) <= min(polygon_area(a), polygon_area(b)) + 1e-9
-
-    def test_box_box_vertex_count(self):
-        # two convex quads meet in at most 8 vertices
-        rng = np.random.default_rng(43)
-        for _ in range(500):
-            a = box_corners(random_box(rng, span=10.0))
-            b = box_corners(random_box(rng, span=10.0))
-            out = clip_convex(a, b)
-            assert len(out) <= 8
 
 
 class TestIou:
@@ -341,6 +285,11 @@ def _moved(b: RotatedBox, dx: float, dy: float, rot: float = 0.0) -> RotatedBox:
     return RotatedBox.make(b.cx * c - b.cy * s + dx, b.cx * s + b.cy * c + dy, b.w, b.h, b.theta + rot)
 
 
+def _float_box(b: RotatedBox) -> ExactBox:
+    """The box as a float-valued :class:`ExactBox`, with libm cos and sin of its angle."""
+    return ExactBox(b.cx, b.cy, b.w / 2.0, b.h / 2.0, math.cos(b.theta), math.sin(b.theta))
+
+
 class TestIouProperties:
     @given(_boxes, _boxes)
     def test_transpose_is_bit_for_bit(self, a, b):
@@ -374,7 +323,7 @@ class TestIouProperties:
     def test_agrees_with_clipping_in_local_frame(self, pair):
         a, b = pair
         local_a, local_b = _moved(a, -a.cx, -a.cy), _moved(b, -a.cx, -a.cy)
-        inter = polygon_area(clip_convex(box_corners(local_a), box_corners(local_b)))
+        inter = intersection(_float_box(local_a), _float_box(local_b))
         expected = inter / (a.area + b.area - inter)
         assert abs(iou(a, b) - expected) < 1e-9
 

@@ -210,6 +210,11 @@ class TestMakeLevels:
         with pytest.raises(ValueError, match=f"stride {repeated} given more than once"):
             make_levels(64, 48, strides=strides)
 
+    def test_long_ratio_stride_outside_strides_accepted(self):
+        # the library keeps taking such an entry; labelgen rejects one given on its command line
+        levels = make_levels(64, 48, strides=(4, 16), long_ratio_strides=(4, 8))
+        assert [lv.long_ratios_enabled for lv in levels] == [True, False]
+
 
 class TestEnumerateCandidates:
     def test_counts_without_long(self):
