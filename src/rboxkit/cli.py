@@ -170,36 +170,32 @@ def _sniff_maps(path: Path) -> dec.PredictionMaps:
 def cmd_decode(args) -> int:
     if args.top_n is not None and args.top_n <= 0:
         raise ValueError(f"top-N must be positive, got {args.top_n}")
-    by_image: dict[str, list[dec.PredictionMaps]] = {}
-    # the file that gave each (image id, stride)
-    seen: dict[tuple[str, int], Path] = {}
+    # (image id, stride) -> the file that gave it and its maps
+    files: dict[tuple[str, int], tuple[Path, dec.PredictionMaps]] = {}
     for f in args.maps:
         path = Path(f)
         # labelgen writes {image_id}.s{stride}.tmap, so the id is the name up to its last two dots
         image_id = path.name.rsplit(".", 2)[0]
         maps = _sniff_maps(path)
         key = image_id, maps.level.stride
-        if key in seen:
-            raise ValueError(f"map files {seen[key]} and {path} both give image {image_id!r} at stride {key[1]}")
-        seen[key] = path
-        by_image.setdefault(image_id, []).append(maps)
+        if key in files:
+            raise ValueError(f"map files {files[key][0]} and {path} both give image {image_id!r} at stride {key[1]}")
+        files[key] = path, maps
 
-    per_image = []
-    total_cells = 0
-    for image_id in sorted(by_image):
-        levels = [dec.decode_anchors(m, args.t_a) for m in sorted(by_image[image_id], key=lambda m: m.level.stride)]
-        total_cells += sum(m.level.grid_w * m.level.grid_h for m in by_image[image_id])
-        # one stable sort by score merges the levels; ties keep stride, then cell order
-        scores = np.concatenate([d.scores for d in levels])
-        order = np.argsort(-scores, kind="stable")
-        boxes = np.concatenate([d.boxes for d in levels]).take(order, axis=0)
-        proposals = Detections(np.full(len(order), image_id, dtype=object), boxes, scores.take(order))
-        if not args.no_nms:
-            proposals = dec.polygon_nms(proposals, args.nms_iou)
-        if args.top_n is not None:
-            proposals = proposals[: args.top_n]
-        per_image.append(proposals)
-    records = Detections.concat(per_image)
+    keys = sorted(files)
+    levels = [dec.decode_anchors(files[k][1], args.t_a) for k in keys]
+    total_cells = sum(m.level.grid_w * m.level.grid_h for _, m in files.values())
+    ids = np.array([image_id for image_id, _ in keys], dtype=object).repeat([len(d) for d in levels])
+    scores = np.concatenate([d.scores for d in levels])
+    # one stable sort by image, then score: ties keep stride, then cell order
+    order = np.lexsort((-scores, np.unique(ids, return_inverse=True)[1]))
+    records = Detections(ids, np.concatenate([d.boxes for d in levels]), scores).take(order)
+    if not args.no_nms:
+        records = dec.polygon_nms(records, args.nms_iou)
+    if args.top_n is not None:
+        # an image's rows are contiguous, so a row's rank in its image counts from its image's first row
+        _, first, images = np.unique(records.image_ids, return_index=True, return_inverse=True)
+        records = records.take(np.flatnonzero(np.arange(len(records)) - first[images] < args.top_n))
 
     stats = dec.anchor_statistics(records, total_cells)
     print(f"active\t{stats.count}")
@@ -217,13 +213,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_nms(args) -> int:
-    # checked here too, since polygon_nms never runs on a file without detections
-    if not 0.0 < args.nms_iou < 1.0:
-        raise ValueError(f"nms iou threshold must lie in (0, 1), got {args.nms_iou}")
-    det_groups, det_errors = _read_detections(Path(args.detections))
-    records = Detections.concat(dec.polygon_nms(det_groups[i], args.nms_iou) for i in sorted(det_groups))
-    formats.write_detection_file(args.output, records)
-    _note(f"kept {len(records)} of {sum(len(v) for v in det_groups.values())} detections")
+    records, errors = formats.read_detection_file(Path(args.detections))
+    det_errors = _report_parse_errors(args.detections, errors)
+    kept = dec.polygon_nms(records, args.nms_iou)
+    formats.write_detection_file(args.output, kept)
+    _note(f"kept {len(kept)} of {len(records)} detections")
     return 1 if det_errors else 0
 
 

@@ -4,7 +4,7 @@ Prediction maps mirror the target-map grids: a probability per cell plus
 normalized orientation and the two log-size shape offsets. Decoding turns
 every cell whose probability exceeds one threshold t_a into one row of a
 detection record, all cells of a level at once; polygon NMS then thins
-the record.
+each image of a record.
 """
 
 from __future__ import annotations
@@ -129,16 +129,19 @@ def _exp_or_inf(v: float) -> float:
 
 
 def polygon_nms(proposals: Detections, iou_threshold: float = 0.3) -> Detections:
-    """Greedy non-maximum suppression with rotated-polygon overlap.
+    """Greedy non-maximum suppression with rotated-polygon overlap, within each image of a record.
 
-    Repeatedly keeps the best-scoring remaining row and drops the rest
-    whose IoU against it strictly exceeds the threshold. Ties keep input
-    order. The result is a selection of the input in score-descending order.
+    Per image, repeatedly keeps the best-scoring remaining row and drops the
+    image's other rows whose IoU against it strictly exceeds the threshold.
+    Ties keep input order. The result is a selection of the input: each
+    image's kept rows in score-descending order, images in sorted-id order.
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"nms iou threshold must lie in (0, 1), got {iou_threshold}")
-    order = np.argsort(-proposals.scores, kind="stable")
-    kept = greedy_nms(proposals.boxes.take(order, axis=0), iou_threshold)
+    # codes from the object ids themselves: a str array would strip trailing NULs and merge ids
+    images = np.unique(proposals.image_ids, return_inverse=True)[1]
+    order = np.lexsort((-proposals.scores, images))
+    kept = greedy_nms(proposals.boxes.take(order, axis=0), iou_threshold, images.take(order))
     return proposals.take(order[kept])
 
 

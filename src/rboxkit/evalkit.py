@@ -54,10 +54,12 @@ def match_detections(
 
     Detections are visited in descending score (ties keep input order) and
     take the unmatched ground truth of highest IoU (the first on ties) when
-    that IoU reaches the threshold. Empty denominators yield 0. ``ious`` is
-    the detection x ground-truth IoU matrix when the caller already has it;
-    it is computed here otherwise.
+    that IoU reaches the threshold, which must lie in (0, 1). Empty
+    denominators yield 0. ``ious`` is the detection x ground-truth IoU matrix
+    when the caller already has it; it is computed here otherwise.
     """
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError(f"iou threshold {iou_threshold} outside (0, 1)")
     ious = iou_matrix(dets.boxes, box_array(g.box for g in gts)) if ious is None else np.asarray(ious, dtype=np.float64)
     if ious.shape != (len(dets), len(gts)):
         raise ValueError(f"ious has shape {ious.shape}, expected {(len(dets), len(gts))}")
@@ -106,9 +108,6 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
 
 def sweep_report(dets: Detections, gts: list[GroundTruthItem], thresholds) -> list[EvalReport]:
     """One report per IoU threshold, all from one detection x ground-truth IoU matrix."""
-    for t in thresholds:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"iou threshold {t} outside (0, 1)")
     ious = iou_matrix(dets.boxes, box_array(g.box for g in gts))
     return [match_detections(dets, gts, t, ious=ious) for t in thresholds]
 
@@ -143,14 +142,17 @@ def proposal_recall(
     """Fraction of ground truths covered when keeping top-N proposals per image.
 
     A ground truth counts as recalled at threshold tau when any of the
-    kept proposals reaches IoU >= tau against it. 'avg' averages the
-    per-threshold recall over 0.50 to 0.95 in steps of 0.05.
+    kept proposals reaches IoU >= tau against it. A mode is one tau in
+    (0, 1) or 'avg', the mean recall over tau = 0.50, 0.55, ..., 0.95.
     """
     if len(proposals_per_image) != len(gts_per_image):
         raise ValueError("per-image proposal and ground-truth lists differ in length")
     for n in n_values:
         if n <= 0:
             raise ValueError(f"top-N must be positive, got {n}")
+    for mode in modes:
+        if mode_label(mode) != "avg" and not 0.0 < mode < 1.0:
+            raise ValueError(f"iou threshold {mode} outside (0, 1)")
 
     # best IoU per care gt among the top N proposals, one row per N: a running
     # maximum down the score-ranked rows of one matrix (after a row of zeros

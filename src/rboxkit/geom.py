@@ -198,12 +198,6 @@ class Detections(Sequence):
             values.flags.writeable = False
         self._base, self._rows, self._items = base, picked, None
 
-    @classmethod
-    def concat(cls, parts) -> "Detections":
-        """One record of the rows of ``parts`` in order."""
-        parts = [cls((), (), ()), *parts]
-        return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in ("image_ids", "boxes", "scores")))
-
     def take(self, rows) -> "Detections":
         """The selection of ``rows`` (indices into this record), in that order."""
         rows = np.asarray(rows, dtype=np.intp)

@@ -8,8 +8,8 @@ bounding boxes meet and computes only those exactly, in the first box's
 frame, by summing the pieces of the intersection's boundary (Green's
 theorem) with no vertex list, sort or tolerance; scalar :func:`iou` is its
 1x1 case. :func:`greedy_nms` runs greedy suppression on the same exact
-stage: it lists its pairs with a sort-and-sweep on x, drops the pairs whose
-IoU an upper bound from the two boxes' parameters puts more than
+stage: it lists each image's pairs with a sort-and-sweep on x, drops the
+pairs whose IoU an upper bound from the two boxes' parameters puts more than
 ``_MARGIN`` below the threshold, and computes exactly only the other pairs
 that greedy reads. :func:`iou_oracle` estimates one pair's IoU by
 Monte-Carlo sampling, the independent check that ``rboxkit iou`` prints
@@ -67,17 +67,19 @@ def iou_matrix(a, b) -> np.ndarray:
     return out
 
 
-def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
+def greedy_nms(boxes, iou_threshold: float, images=0) -> np.ndarray:
     """Rows kept by greedy non-maximum suppression over ``boxes``, in increasing order.
 
-    ``boxes`` is an (N, 5) array in priority order: a row is kept unless a
-    kept row before it has IoU strictly above ``iou_threshold`` with it.
-    The pairs whose bounding boxes meet come from a sort-and-sweep on x
-    (:func:`_sweep_pairs`). Each pair's IoU is then bounded from above from
-    the two boxes' parameters alone (:func:`_iou_upper`); a pair whose bound
-    lies more than ``_MARGIN`` below the threshold can never suppress and is
-    dropped. The pass runs in rounds over the other pairs. Each round keeps
-    every undecided row whose earlier partners are all decided (the first
+    ``boxes`` is an (N, 5) array in priority order and ``images`` each row's
+    image as an int code (one image when omitted): a row is kept unless a
+    kept row of its image before it has IoU strictly above ``iou_threshold``
+    with it. The pairs of one image whose bounding boxes meet come from a
+    sort-and-sweep on x (:func:`_sweep_pairs`), so all images share each
+    round. Each pair's IoU is then bounded from above from the two boxes'
+    parameters alone (:func:`_iou_upper`); a pair whose bound lies more than
+    ``_MARGIN`` below the threshold can never suppress and is dropped. The
+    pass runs in rounds over the other pairs. Each round keeps every
+    undecided row whose earlier partners are all decided (the first
     undecided row always is, and no two rows kept in one round are
     partners), computes the exact IoU of every pair (newly kept row,
     undecided later partner), and suppresses the partners above the
@@ -86,7 +88,7 @@ def greedy_nms(boxes, iou_threshold: float) -> np.ndarray:
     result is that of the sequential greedy pass over all pairs.
     """
     table = _table(_rows(boxes))
-    i, j = _sweep_pairs(table)
+    i, j = _sweep_pairs(table, images)
     near = _iou_upper(table, i, j) >= iou_threshold - _MARGIN
     # the pair list only ever holds pairs whose rows are both undecided
     i, j = i[near], j[near]
@@ -190,13 +192,17 @@ def _aabb_pairs(ta, tb) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ii), np.concatenate(jj)
 
 
-def _sweep_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs i < j of one table whose bounding boxes meet, in no set order.
+def _sweep_pairs(t: np.ndarray, images=0) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs i < j of one table and one image whose bounding boxes meet, in no set order.
 
-    These are the pairs :func:`_aabb_pairs` finds of the table against itself.
+    ``images`` is each row's image as an int code (one image when omitted).
+    These are the pairs of one image that :func:`_aabb_pairs` finds of the
+    table against itself.
 
-    Sort-and-sweep on x: a box's candidates are the boxes after it in x-min
-    order whose x-min does not pass its x-max, found with ``searchsorted``.
+    Sort-and-sweep on x: a box's candidates are the boxes after it in
+    (image, x-min) order, of its image, whose x-min does not pass its x-max,
+    found with ``searchsorted`` on the keys image + x 1j (numpy orders
+    complex numbers by real part, then imaginary part, so no x is shifted).
     Both ends of each x-range are widened by a relative 1e-12, so rounding
     cannot hide a pair that the exact test below accepts. Candidates are
     expanded ``_STEP`` or so at a time (one box's run at the least), which
@@ -204,9 +210,9 @@ def _sweep_pairs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     as :func:`_aabb_pairs`.
     """
     pad = 1e-12 * (np.abs(t[:, 0]) + t[:, _EXT_X])
-    lo = t[:, 0] - t[:, _EXT_X] - pad
+    lo = images + 1j * (t[:, 0] - t[:, _EXT_X] - pad)
     order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], (t[:, 0] + t[:, _EXT_X] + pad)[order]
+    lo, hi = lo[order], (images + 1j * (t[:, 0] + t[:, _EXT_X] + pad))[order]
     # sorted position p's candidates are the positions p + 1 .. p + count[p]
     count = np.searchsorted(lo, hi, side="right") - np.arange(1, len(t) + 1)
     end = np.cumsum(count)

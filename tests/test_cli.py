@@ -685,6 +685,23 @@ class TestNms:
         assert len(records) == 1
         assert records[0].score == pytest.approx(0.9)
 
+    def test_images_kept_apart(self, tmp_path, capsys):
+        det_file, out_file = tmp_path / "in.txt", tmp_path / "out.txt"
+        det_file.write_text("a 50 50 30 12 0.2 0.9\nb 50 50 30 12 0.2 0.8\n")
+        assert main(["nms", "--detections", str(det_file), "--output", str(out_file)]) == 0
+        assert capsys.readouterr().err == "kept 2 of 2 detections\n"
+        assert read_detection_file(out_file)[0].image_ids.tolist() == ["a", "b"]
+
+    def test_parse_errors_print_before_a_bad_threshold(self, tmp_path, capsys):
+        det_file, out_file = tmp_path / "in.txt", tmp_path / "out.txt"
+        det_file.write_text("a 50 50 30 12 0.2\n")
+        rc = main(["nms", "--detections", str(det_file), "--nms-iou", "1.5", "--output", str(out_file)])
+        assert rc == 2
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.startswith(f"error: {det_file}:1: ")
+        assert second == "error: nms iou threshold must lie in (0, 1), got 1.5"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("thr", ["-1", "0", "1", "1.5"])
     def test_threshold_outside_unit_interval(self, tmp_path, capsys, thr):
         det_file = tmp_path / "in.txt"

@@ -16,9 +16,10 @@ from rboxkit.decode import (
     polygon_nms,
     save_prediction_maps,
 )
+from rboxkit.formats import group_detections_by_image
 from rboxkit.geom import Proposal, RotatedBox, unit_to_angle
 from rboxkit.polyiou import iou
-from records import record
+from records import pairs, record
 from rboxkit.targets import LevelSpec, cell_center, generate_targets, make_levels, shape_decode
 
 PI = math.pi
@@ -286,6 +287,24 @@ class TestPolygonNms:
         a = prop(0, 0, 10, 5, 0.0, 0.8)
         b = prop(100, 100, 10, 5, 0.0, 0.9)
         assert list(polygon_nms(record([a, b]), 0.3)) == [b, a]
+
+    def test_images_never_suppress_each_other(self):
+        # one box under four rows: each image keeps its best row, and "a\x00" is not "a"
+        p, q = prop(0, 0, 10, 5, 0.2, 0.9), prop(0, 0, 10, 5, 0.2, 0.8)
+        kept = polygon_nms(record([q, p, p, q], ["b", "a", "a\x00", "a"]), 0.3)
+        assert pairs(kept) == [("a", p), ("a\x00", p), ("b", q)]
+
+    @given(st.data(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_many_images_equal_one_call_per_image(self, data, thr):
+        props = data.draw(clusters_with_copies())
+        ids = data.draw(st.lists(st.sampled_from(["a", "a\x00", "b", ""]), min_size=len(props), max_size=len(props)))
+        rec = record(props, ids)
+        groups = group_detections_by_image(rec)
+        want = [p for image_id in sorted(groups) for p in polygon_nms(groups[image_id], thr)]
+        kept = polygon_nms(rec, thr)
+        # the same rows, and a selection of the record: the same objects
+        assert [id(p) for p in kept] == [id(p) for p in want]
+        assert kept.image_ids.tolist() == sorted(kept.image_ids.tolist())
 
     def test_idempotent(self):
         rng = np.random.default_rng(41)

@@ -170,6 +170,12 @@ class TestMatchDetections:
         with pytest.raises(ValueError):
             match_detections(record(dets), gts, 0.5, ious=ious[:, :-1])
 
+    @pytest.mark.parametrize("thr", [-2.0, 0.0, 1.0, 1.5, math.nan])
+    def test_threshold_outside_unit_interval(self, thr):
+        # at -2.0 both detections matched the one ground truth: recall read 2.0
+        with pytest.raises(ValueError, match=r"iou threshold .* outside \(0, 1\)"):
+            match_detections(record([det(10, 10, 0.9), det(10, 10, 0.8)]), [gt(10, 10)], thr)
+
 
 class TestSweepReport:
     def test_perfect_rows(self):
@@ -290,6 +296,12 @@ class TestProposalRecall:
     def test_misaligned_lists(self):
         with pytest.raises(ValueError):
             proposal_recall([record([])], [])
+
+    @pytest.mark.parametrize("mode", [0.0, -0.5, 1.0, 1.5, math.nan])
+    def test_mode_outside_unit_interval(self, mode):
+        # at 0.0 an image with no proposal read TR 1.0
+        with pytest.raises(ValueError, match=r"iou threshold .* outside \(0, 1\)"):
+            proposal_recall([record([])], [[gt(10, 10)]], n_values=(50,), modes=(0.5, mode))
 
 
 class TestFormatting:

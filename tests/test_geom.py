@@ -226,14 +226,6 @@ class TestDetections:
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
-    def test_concat(self):
-        rec = three_rows()
-        both = Detections.concat([rec.take([1]), rec])
-        assert both.image_ids.tolist() == ["a", "b", "a", "b"]
-        assert both.boxes.tolist() == [rec.boxes[1].tolist(), *rec.boxes.tolist()]
-        assert len(Detections.concat([])) == 0
-        assert Detections.concat([]).boxes.shape == (0, 5)
-
 
 class TestQuadToRotatedBox:
     def test_axis_aligned(self):

@@ -373,12 +373,14 @@ def _upper(a: RotatedBox, b: RotatedBox):
 class TestNmsStages:
     """The sweep pair listing and the IoU upper bound that greedy_nms builds on."""
 
-    @given(_crowd())
-    def test_sweep_lists_the_dense_pairs(self, rows):
+    @given(_crowd(), st.data())
+    def test_sweep_lists_the_dense_pairs(self, rows, data):
+        # a drawn image per row: the pairs are the dense ones within one image
+        images = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))), dtype=np.intp)
         table = polyiou._table(rows)
-        i, j = polyiou._sweep_pairs(table)
+        i, j = polyiou._sweep_pairs(table, images)
         di, dj = polyiou._aabb_pairs(table, table)
-        upper = di < dj
+        upper = (di < dj) & (images[di] == images[dj])
         assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(di[upper].tolist(), dj[upper].tolist()))
         assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
 
