@@ -17,7 +17,7 @@ import numpy as np
 
 from . import decode as dec
 from . import evalkit, formats, polyiou, targets
-from .geom import Detections, RotatedBox, _corners
+from .geom import Detections, RotatedBox, _corners, _image_codes
 
 DEFAULT_STRIDES = (4, 8, 16, 32)
 DEFAULT_LONG_RATIO_STRIDES = (4, 8)
@@ -54,6 +54,8 @@ def _load_gt_map(gt: Path, fmt: str, include_difficult: bool):
     files = {}
     for p in paths:
         image_id = p.stem[3:] if p.stem.startswith("gt_") else p.stem
+        if not image_id:
+            raise ValueError(f"ground truth file {p} gives an empty image id")
         if image_id in files:
             raise ValueError(
                 f"ground truth files {files[image_id]} and {p} both give image id {image_id!r}"
@@ -79,17 +81,11 @@ def cmd_evaluate(args) -> int:
     det_groups, det_errors = _read_detections(Path(args.detections))
     gt_map, gt_errors = _load_gt_map(Path(args.gt), args.gt_format, args.include_difficult)
     image_ids = sorted(set(gt_map) | set(det_groups))
-    for image_id in image_ids:
-        if image_id not in gt_map:
-            _note(f"note: no ground-truth file for image {image_id!r}; counted as background")
-            gt_map[image_id] = []
+    for image_id in sorted(set(det_groups) - set(gt_map)):
+        _note(f"note: no ground-truth file for image {image_id!r}; counted as background")
     none = Detections((), (), ())
-    # zero images score like one empty image, so each row keeps its threshold
-    per_image = [
-        evalkit.sweep_report(det_groups.get(i, none), gt_map[i], args.iou_thresholds)
-        for i in image_ids
-    ] or [evalkit.sweep_report(none, [], args.iou_thresholds)]
-    rows = [evalkit.combine_reports(list(col)) for col in zip(*per_image)]
+    dets = [det_groups.get(i, none) for i in image_ids]
+    rows = evalkit.sweep_report(dets, [gt_map.get(i, []) for i in image_ids], args.iou_thresholds)
     print(evalkit.format_eval_table(rows))
     if args.output:
         Path(args.output).write_text("\n".join(evalkit.eval_machine_lines(rows)) + "\n")
@@ -99,11 +95,9 @@ def cmd_evaluate(args) -> int:
 def cmd_proposal_recall(args) -> int:
     det_groups, det_errors = _read_detections(Path(args.proposals))
     gt_map, gt_errors = _load_gt_map(Path(args.gt), args.gt_format, args.include_difficult)
-    image_ids = sorted(gt_map)
-    none = Detections((), (), ())
+    none, image_ids = Detections((), (), ()), sorted(gt_map)
     props = [det_groups.get(i, none) for i in image_ids]
-    gts = [gt_map[i] for i in image_ids]
-    report = evalkit.proposal_recall(props, gts, n_values=tuple(args.top_n))
+    report = evalkit.proposal_recall(props, [gt_map[i] for i in image_ids], n_values=tuple(args.top_n))
     print(evalkit.format_recall_table(report))
     if args.output:
         Path(args.output).write_text("\n".join(evalkit.recall_machine_lines(report)) + "\n")
@@ -188,14 +182,14 @@ def cmd_decode(args) -> int:
     ids = np.array([image_id for image_id, _ in keys], dtype=object).repeat([len(d) for d in levels])
     scores = np.concatenate([d.scores for d in levels])
     # one stable sort by image, then score: ties keep stride, then cell order
-    order = np.lexsort((-scores, np.unique(ids, return_inverse=True)[1]))
+    order = np.lexsort((-scores, _image_codes(ids)))
     records = Detections(ids, np.concatenate([d.boxes for d in levels]), scores).take(order)
     if not args.no_nms:
         records = dec.polygon_nms(records, args.nms_iou)
     if args.top_n is not None:
-        # an image's rows are contiguous, so a row's rank in its image counts from its image's first row
-        _, first, images = np.unique(records.image_ids, return_index=True, return_inverse=True)
-        records = records.take(np.flatnonzero(np.arange(len(records)) - first[images] < args.top_n))
+        # images come in sorted-id order, so a row's rank in its image counts from its code's first row
+        images = _image_codes(records.image_ids)
+        records = records.take(np.flatnonzero(np.arange(len(records)) - np.searchsorted(images, images) < args.top_n))
 
     stats = dec.anchor_statistics(records, total_cells)
     print(f"active\t{stats.count}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Detections, _canonical_rows, _valid_rows, unit_to_angle
+from .geom import Detections, _canonical_rows, _image_codes, _valid_rows, unit_to_angle
 from .polyiou import greedy_nms
 from .targets import (
     LOC_POSITIVE,
@@ -138,8 +138,7 @@ def polygon_nms(proposals: Detections, iou_threshold: float = 0.3) -> Detections
     """
     if not 0.0 < iou_threshold < 1.0:
         raise ValueError(f"nms iou threshold must lie in (0, 1), got {iou_threshold}")
-    # codes from the object ids themselves: a str array would strip trailing NULs and merge ids
-    images = np.unique(proposals.image_ids, return_inverse=True)[1]
+    images = _image_codes(proposals.image_ids)
     order = np.lexsort((-proposals.scores, images))
     kept = greedy_nms(proposals.boxes.take(order, axis=0), iou_threshold, images.take(order))
     return proposals.take(order[kept])

@@ -4,7 +4,9 @@ Matching follows the common scene-text protocol: detections overlapping a
 don't-care region are dropped first, the rest greedily match unmatched
 ground truths in score order, one to one. Recall tables report the
 fraction of ground truths covered by the top-N proposals per image at one
-or more IoU thresholds.
+or more IoU thresholds. Both take a whole run as per-image lists and get
+every IoU within an image from one :func:`~rboxkit.polyiou.iou_pairs` call,
+which never pairs rows of two images.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Detections, GroundTruthItem
-from .polyiou import box_array, iou_matrix
+from .polyiou import box_array, iou_matrix, iou_pairs
 
 AVG_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
@@ -80,16 +82,7 @@ def match_detections(
                 taken[best] = True
                 matched += 1
 
-    p, r, f = _prf(matched, len(kept), len(taken))
-    return EvalReport(
-        precision=p,
-        recall=r,
-        f_measure=f,
-        matched=matched,
-        num_detections=len(kept),
-        num_gt=len(taken),
-        iou_threshold=iou_threshold,
-    )
+    return EvalReport(*_prf(matched, len(kept), len(taken)), matched, len(kept), len(taken), iou_threshold)
 
 
 def combine_reports(reports: list[EvalReport]) -> EvalReport:
@@ -106,10 +99,34 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
     return EvalReport(p, r, f, matched, dets, gts, thr)
 
 
-def sweep_report(dets: Detections, gts: list[GroundTruthItem], thresholds) -> list[EvalReport]:
-    """One report per IoU threshold, all from one detection x ground-truth IoU matrix."""
-    ious = iou_matrix(dets.boxes, box_array(g.box for g in gts))
-    return [match_detections(dets, gts, t, ious=ious) for t in thresholds]
+def _run_pairs(a_per_image, b_per_image):
+    """:func:`iou_pairs` within each image: (i, j) into the stacked rows, sorted by i, IoU and each side's offsets."""
+    sides = [[len(rows) for rows in side] for side in (a_per_image, b_per_image)]
+    stacked = [np.concatenate([np.empty((0, 5)), *side]) for side in (a_per_image, b_per_image)]
+    i, j, v = iou_pairs(*stacked, *(np.repeat(np.arange(len(n)), n) for n in sides))
+    order = np.argsort(i, kind="stable")
+    return i[order], j[order], v[order], [np.cumsum([0, *n]) for n in sides]
+
+
+def sweep_report(dets_per_image, gts_per_image, thresholds) -> list[EvalReport]:
+    """Dataset-level reports, one per IoU threshold, of a run given as per-image detections and ground truth.
+
+    One :func:`iou_pairs` call serves the run; each image's matrix is matched
+    once per threshold, and :func:`combine_reports` pools each threshold.
+    Zero images score like one empty image, so each report keeps its threshold.
+    """
+    if len(dets_per_image) != len(gts_per_image):
+        raise ValueError("per-image detection and ground-truth lists differ in length")
+    if not len(dets_per_image):
+        dets_per_image, gts_per_image = [Detections((), (), ())], [[]]
+    gt_rows = [box_array(g.box for g in gts) for gts in gts_per_image]
+    i, j, v, (d0, g0) = _run_pairs([d.boxes for d in dets_per_image], gt_rows)
+    bounds, per_image = np.searchsorted(i, d0), []
+    for k, (dets, gts) in enumerate(zip(dets_per_image, gts_per_image)):
+        p, ious = slice(bounds[k], bounds[k + 1]), np.zeros((len(dets), len(gts)))
+        ious[i[p] - d0[k], j[p] - g0[k]] = v[p]
+        per_image.append([match_detections(dets, gts, t, ious=ious) for t in thresholds])
+    return [combine_reports(list(col)) for col in zip(*per_image)]
 
 
 def mode_label(mode) -> str:
@@ -141,9 +158,11 @@ def proposal_recall(
 ) -> RecallReport:
     """Fraction of ground truths covered when keeping top-N proposals per image.
 
-    A ground truth counts as recalled at threshold tau when any of the
-    kept proposals reaches IoU >= tau against it. A mode is one tau in
-    (0, 1) or 'avg', the mean recall over tau = 0.50, 0.55, ..., 0.95.
+    A ground truth counts as recalled at threshold tau when any of its
+    image's kept proposals reaches IoU >= tau against it. A mode is one tau
+    in (0, 1) or 'avg', the mean recall over tau = 0.50, 0.55, ..., 0.95.
+    One :func:`iou_pairs` call serves the run: each image's top-ranked
+    proposals against its care ground truths.
     """
     if len(proposals_per_image) != len(gts_per_image):
         raise ValueError("per-image proposal and ground-truth lists differ in length")
@@ -154,21 +173,19 @@ def proposal_recall(
         if mode_label(mode) != "avg" and not 0.0 < mode < 1.0:
             raise ValueError(f"iou threshold {mode} outside (0, 1)")
 
-    # best IoU per care gt among the top N proposals, one row per N: a running
-    # maximum down the score-ranked rows of one matrix (after a row of zeros
-    # for "no proposal") answers every N at once
     top = max(n_values, default=0)
-    best = [np.zeros((len(n_values), 0))]
-    for props, gts in zip(proposals_per_image, gts_per_image):
-        ranked = props.boxes.take(np.argsort(-props.scores, kind="stable")[:top], axis=0)
-        care = box_array(g.box for g in gts if not g.dont_care)
-        running = np.maximum.accumulate(np.vstack([np.zeros((1, len(care))), iou_matrix(ranked, care)]))
-        best.append(running[[min(n, len(ranked)) for n in n_values]])
-    best = np.concatenate(best, axis=1)
-    care_total = best.shape[1]
+    ranked = [p.boxes.take(np.argsort(-p.scores, kind="stable")[:top], axis=0) for p in proposals_per_image]
+    care = [box_array(g.box for g in gts if not g.dont_care) for gts in gts_per_image]
+    i, j, v, (r0, g0) = _run_pairs(ranked, care)
+    # each pair's proposal rank within its image
+    rank = i - np.repeat(r0[:-1], np.diff(r0))[i]
+    care_total = int(g0[-1])
 
     values = {}
-    for n, row in zip(n_values, best):
+    for n in n_values:
+        # best IoU per care gt among the image's top n proposals
+        row = np.zeros(care_total)
+        np.maximum.at(row, j[rank < n], v[rank < n])
         for mode in modes:
             label = mode_label(mode)
             taus = AVG_THRESHOLDS if label == "avg" else (float(mode),)
@@ -179,8 +196,7 @@ def proposal_recall(
 
 def format_recall_table(report: RecallReport) -> str:
     """Human-readable grid, modes as rows and TR_N as columns, in percent."""
-    header = "IoU mode  " + "  ".join(f"TR{n:>4}" for n in report.n_values)
-    lines = [header]
+    lines = ["IoU mode  " + "  ".join(f"TR{n:>4}" for n in report.n_values)]
     for mode in report.modes:
         cells = "  ".join(f"{100 * report.values[(n, mode)]:6.1f}" for n in report.n_values)
         lines.append(f"{mode:<8}  {cells}")
@@ -189,11 +205,7 @@ def format_recall_table(report: RecallReport) -> str:
 
 def recall_machine_lines(report: RecallReport) -> list[str]:
     """Tab-separated metric lines: metric, N, mode, value to 4 decimals."""
-    return [
-        f"TR\t{n}\t{mode}\t{report.values[(n, mode)]:.4f}"
-        for mode in report.modes
-        for n in report.n_values
-    ]
+    return [f"TR\t{n}\t{mode}\t{report.values[(n, mode)]:.4f}" for mode in report.modes for n in report.n_values]
 
 
 def format_eval_table(reports: list[EvalReport]) -> str:
@@ -209,10 +221,5 @@ def format_eval_table(reports: list[EvalReport]) -> str:
 
 def eval_machine_lines(reports: list[EvalReport]) -> list[str]:
     """Tab-separated metric lines for the sweep: metric, N, mode, value."""
-    out = []
-    for r in reports:
-        mode = f"{r.iou_threshold:.2f}"
-        out.append(f"precision\t-\t{mode}\t{r.precision:.4f}")
-        out.append(f"recall\t-\t{mode}\t{r.recall:.4f}")
-        out.append(f"f_measure\t-\t{mode}\t{r.f_measure:.4f}")
-    return out
+    metrics = ("precision", "recall", "f_measure")
+    return [f"{m}\t-\t{r.iou_threshold:.2f}\t{getattr(r, m):.4f}" for r in reports for m in metrics]

@@ -228,6 +228,13 @@ class Detections(Sequence):
         return iter(self._objects())
 
 
+def _image_codes(image_ids) -> np.ndarray:
+    """``np.unique(ids, return_inverse=True)`` codes from the ids as objects (a str array strips trailing NULs)."""
+    ids = np.asarray(image_ids, dtype=object).tolist()
+    rank = {image_id: k for k, image_id in enumerate(sorted(set(ids)))}
+    return np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
 @dataclass(frozen=True)
 class GroundTruthItem:
     box: RotatedBox

@@ -3,13 +3,14 @@
 Boxes are (N, 5) float64 arrays of (cx, cy, w, h, theta) rows;
 :func:`box_array` builds one from :class:`RotatedBox` values.
 
-:func:`iou_matrix` is the one rotated-IoU kernel: it lists the pairs whose
-bounding boxes meet and computes only those exactly, in the first box's
-frame, by summing the pieces of the intersection's boundary (Green's
-theorem) with no vertex list, sort or tolerance; scalar :func:`iou` is its
-1x1 case. :func:`greedy_nms` runs greedy suppression on the same exact
-stage: it lists each image's pairs with a sort-and-sweep on x, drops the
-pairs whose IoU an upper bound from the two boxes' parameters puts more than
+:func:`iou_pairs` is the one rotated-IoU kernel: it lists the pairs of
+one image whose bounding boxes meet, with a sort-and-sweep on x, and
+computes only those exactly, in the first box's frame, by summing the
+pieces of the intersection's boundary (Green's theorem) with no vertex list,
+sort or tolerance. :func:`iou_matrix` is its one-image case, scattered into
+a dense matrix, and scalar :func:`iou` its 1x1 case. :func:`greedy_nms` runs
+greedy suppression over the same sweep and exact stage: it drops the pairs
+whose IoU an upper bound from the two boxes' parameters puts more than
 ``_MARGIN`` below the threshold, and computes exactly only the other pairs
 that greedy reads. :func:`iou_oracle` estimates one pair's IoU by
 Monte-Carlo sampling, the independent check that ``rboxkit iou`` prints
@@ -45,25 +46,32 @@ def box_array(boxes) -> np.ndarray:
     return np.array([(b.cx, b.cy, b.w, b.h, b.theta) for b in boxes], dtype=np.float64).reshape(-1, 5)
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """Exact IoU of every box in ``a`` against every box in ``b``.
+def iou_pairs(a, b, images_a=0, images_b=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact IoU of the pairs (a[i], b[j]) of one image whose axis-aligned bounding boxes meet, in no set order.
 
     ``a`` and ``b`` are (N, 5) and (M, 5) arrays of (cx, cy, w, h, theta)
-    rows; the result is an (N, M) float64 matrix. Only the pairs whose
-    axis-aligned bounding boxes meet go through the exact stage, in blocks
-    of ``_BLOCK``, so memory stays bounded by the pair list and one block;
-    every other entry is 0. The exact stage orders each pair by its two
-    (cx, cy, w, h, theta) rows before any arithmetic (see :func:`_exact`),
-    so ``iou_matrix(b, a)`` is bit-for-bit the transpose of
-    ``iou_matrix(a, b)``, and identical boxes read exactly 1.
+    rows, ``images_a`` and ``images_b`` each row's image as an int code (one
+    image when omitted); every pair not listed has IoU 0. One table over a's
+    rows, then b's, feeds one sweep and one exact stage, whose memory stays
+    bounded by the pair list and one block; the exact stage orders each pair
+    by its rows (see :func:`_exact`), so swapping ``a`` and ``b`` gives the
+    same values bit for bit, and identical boxes read exactly 1.
     """
     a, b = _rows(a), _rows(b)
-    # a's rows, then b's, which start at row len(a)
     table = _table(np.concatenate([a, b]))
-    i, j = _aabb_pairs(table[: len(a)], table[len(a) :])
+    images = np.concatenate([np.broadcast_to(images_a, len(a)), np.broadcast_to(images_b, len(b))])
+    i, j = _sweep_pairs(table, images)
+    # b's rows start at row len(a), and the sweep lists each pair with i < j
+    cross = (i < len(a)) & (j >= len(a))
+    i, j = i[cross], j[cross]
+    return i, j - len(a), _exact(table, i, j)
+
+
+def iou_matrix(a, b) -> np.ndarray:
+    """Exact IoU of every box in ``a`` against every box in ``b``: :func:`iou_pairs` of one image, as a matrix."""
+    i, j, v = iou_pairs(a, b)
     out = np.zeros((len(a), len(b)), dtype=np.float64)
-    if len(i):
-        out[i, j] = _exact(table, i, j + len(a))
+    out[i, j] = v
     return out
 
 
@@ -173,31 +181,12 @@ def _exact(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _aabb_pairs(ta, tb) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i into ``ta``, j into ``tb``) whose axis-aligned bounding boxes meet.
-
-    Every (row, column) pair is tested, a chunk of rows at a time, which
-    bounds the temporaries; at the sizes ``iou_matrix`` serves this beats a
-    sweep.
-    """
-    rows = max(1, _BLOCK * 16 // max(len(tb), 1))
-    ii, jj = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for r in range(0, len(ta), rows):
-        a = ta[r : r + rows]
-        near = np.abs(a[:, 0, None] - tb[:, 0]) <= a[:, _EXT_X, None] + tb[:, _EXT_X]
-        near &= np.abs(a[:, 1, None] - tb[:, 1]) <= a[:, _EXT_Y, None] + tb[:, _EXT_Y]
-        i, j = np.nonzero(near)
-        ii.append(i + r)
-        jj.append(j)
-    return np.concatenate(ii), np.concatenate(jj)
-
-
 def _sweep_pairs(t: np.ndarray, images=0) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs i < j of one table and one image whose bounding boxes meet, in no set order.
 
     ``images`` is each row's image as an int code (one image when omitted).
-    These are the pairs of one image that :func:`_aabb_pairs` finds of the
-    table against itself.
+    A pair's bounding boxes meet when, on each axis, the distance between
+    the centres is at most the sum of the half extents.
 
     Sort-and-sweep on x: a box's candidates are the boxes after it in
     (image, x-min) order, of its image, whose x-min does not pass its x-max,
@@ -206,8 +195,7 @@ def _sweep_pairs(t: np.ndarray, images=0) -> tuple[np.ndarray, np.ndarray]:
     Both ends of each x-range are widened by a relative 1e-12, so rounding
     cannot hide a pair that the exact test below accepts. Candidates are
     expanded ``_STEP`` or so at a time (one box's run at the least), which
-    bounds the temporaries, and each goes through the same test on both axes
-    as :func:`_aabb_pairs`.
+    bounds the temporaries, and each goes through that test on both axes.
     """
     pad = 1e-12 * (np.abs(t[:, 0]) + t[:, _EXT_X])
     lo = images + 1j * (t[:, 0] - t[:, _EXT_X] - pad)

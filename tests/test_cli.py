@@ -213,6 +213,33 @@ class TestDuplicateImageId:
         assert not out_dir.exists()
 
 
+class TestEmptyImageId:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--detections", "{det}"],
+            ["proposal-recall", "--proposals", "{det}"],
+            ["labelgen", "--output", "{out}"],
+        ],
+        ids=["evaluate", "proposal-recall", "labelgen"],
+    )
+    def test_gt_file_without_an_id_rejected(self, scene, capsys, argv):
+        # gt_.txt gave image id "": labelgen wrote hidden .s4.tmap files and
+        # evaluate scored its boxes as ground truth no detection can match
+        tmp, _, det_file, _ = scene
+        gt_dir = tmp / "noid"
+        gt_dir.mkdir()
+        write_gt_icdar15(gt_dir / "gt_.txt", [RotatedBox(30, 20, 40, 16, 0.0)])
+        out_dir = tmp / "maps"
+        argv = [a.format(det=det_file, out=out_dir) for a in argv]
+        rc = main([*argv, "--gt", str(gt_dir), "--gt-format", "icdar15"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and str(gt_dir / "gt_.txt") in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+
 class TestProposalRecall:
     def test_missing_gt_dir_rejected(self, scene, capsys):
         tmp, _, det_file, _ = scene

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rboxkit.evalkit import (
     AVG_THRESHOLDS,
@@ -181,11 +183,11 @@ class TestSweepReport:
     def test_perfect_rows(self):
         gts = [gt(10, 10)]
         dets = [det(10, 10, 0.9)]
-        rows = sweep_report(record(dets), gts, [0.5, 0.75])
+        rows = sweep_report([record(dets)], [gts], [0.5, 0.75])
         assert all(r.f_measure == 1.0 for r in rows)
 
     def test_empty_detections(self):
-        rows = sweep_report(record([]), [gt(10, 10)], [0.5, 0.75])
+        rows = sweep_report([record([])], [[gt(10, 10)]], [0.5, 0.75])
         assert all(r.recall == 0.0 for r in rows)
 
     def test_mid_iou_detection_counts_only_below(self):
@@ -193,20 +195,49 @@ class TestSweepReport:
         d = det(4, 0, 0.9, 20, 10)  # overlap 16/24 = 2/3 along x
         v = iou(d.box, g.box)
         assert 0.5 < v < 0.75
-        rows = sweep_report(record([d]), [g], [0.5, 0.75])
+        rows = sweep_report([record([d])], [[g]], [0.5, 0.75])
         assert rows[0].matched == 1
         assert rows[1].matched == 0
 
     def test_recall_non_increasing(self):
         rng = np.random.default_rng(7)
         dets, gts = random_scene(rng, 10, 6)
-        rows = sweep_report(record(dets), gts, [0.3, 0.5, 0.7, 0.9])
+        rows = sweep_report([record(dets)], [gts], [0.3, 0.5, 0.7, 0.9])
         recalls = [r.recall for r in rows]
         assert recalls == sorted(recalls, reverse=True)
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
-            sweep_report(record([]), [], [1.5])
+            sweep_report([record([])], [[]], [1.5])
+
+
+# a run of up to four images, each with up to four detections and ground
+# truths in one 40 px square, so that an image's boxes overlap; images may be empty
+_coord, _side = st.floats(0.0, 40.0), st.floats(2.0, 30.0)
+_rbox = st.builds(RotatedBox.make, _coord, _coord, _side, _side, st.floats(-PI / 2, PI / 2, exclude_max=True))
+_image = st.tuples(
+    st.lists(st.builds(Proposal, box=_rbox, score=st.floats(0.0, 1.0)), max_size=4),
+    st.lists(st.builds(GroundTruthItem, box=_rbox, dont_care=st.booleans()), max_size=4),
+)
+
+
+class TestImagesApart:
+    @given(st.lists(_image, max_size=4))
+    def test_run_pools_its_images(self, images):
+        thresholds = [0.3, 0.5, 0.7]
+        dets, gts = [record(d) for d, _ in images], [g for _, g in images]
+        one = [sweep_report([d], [g], thresholds) for d, g in zip(dets, gts)]
+        # zero images score like one empty image
+        one = one or [sweep_report([record([])], [[]], thresholds)]
+        assert sweep_report(dets, gts, thresholds) == [combine_reports(list(col)) for col in zip(*one)]
+
+    def test_coinciding_boxes_of_two_images_never_match(self):
+        # image a holds only the ground truth, image b only the detection, on the same box
+        runs = [record([]), record([det(50, 20, 0.9, 80, 20)])], [[gt(50, 20, 80, 20)], []]
+        (row,) = sweep_report(*runs, [0.5])
+        assert (row.matched, row.num_detections, row.num_gt) == (0, 1, 1)
+        rep = proposal_recall(*runs, n_values=(1,), modes=(0.5,))
+        assert rep.get(1, 0.5) == 0.0
 
 
 class TestCombineReports:
@@ -319,7 +350,7 @@ class TestFormatting:
         assert lines == ["TR\t50\t0.50\t1.0000"]
 
     def test_eval_machine_lines(self):
-        rows = sweep_report(record([det(10, 10, 0.9)]), [gt(10, 10)], [0.5])
+        rows = sweep_report([record([det(10, 10, 0.9)])], [[gt(10, 10)]], [0.5])
         lines = eval_machine_lines(rows)
         assert "precision\t-\t0.50\t1.0000" in lines
         assert "recall\t-\t0.50\t1.0000" in lines

@@ -295,6 +295,23 @@ class TestIouProperties:
     def test_transpose_is_bit_for_bit(self, a, b):
         assert np.array_equal(iou_matrix(b, a), iou_matrix(a, b).T)
 
+    @given(_boxes, _boxes, st.data())
+    def test_pairs_scatter_to_each_image_matrix(self, a, b, data):
+        codes = [np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x)))) for x in (a, b)]
+        for (x, cx), (y, cy) in (((a, codes[0]), (b, codes[1])), ((b, codes[1]), (a, codes[0]))):
+            i, j, v = polyiou.iou_pairs(x, y, cx, cy)
+            assert np.array_equal(cx[i], cy[j])
+            scattered = np.zeros((len(x), len(y)))
+            scattered[i, j] = v
+            for k in range(3):
+                rows, cols = np.flatnonzero(cx == k), np.flatnonzero(cy == k)
+                assert scattered[np.ix_(rows, cols)].tobytes() == iou_matrix(x[rows], y[cols]).tobytes()
+
+    def test_boxes_of_two_images_never_pair(self):
+        a = box_array([RotatedBox(50, 20, 80, 20, 0.0)])
+        assert [len(v) for v in polyiou.iou_pairs(a, a, 0, 1)] == [0, 0, 0]
+        assert polyiou.iou_pairs(a, a, 1, 1)[2].tolist() == [1.0]
+
     @given(_boxes, _boxes)
     def test_values_in_unit_interval(self, a, b):
         m = iou_matrix(a, b)
@@ -370,6 +387,14 @@ def _upper(a: RotatedBox, b: RotatedBox):
     return polyiou._iou_upper(polyiou._table(box_array((a, b))), np.array([0]), np.array([1]))[0]
 
 
+def _dense_pairs(table, images):
+    """Every pair i < j of one image whose bounding boxes meet, from testing all pairs on both axes."""
+    x, y, ex, ey = (table[:, c] for c in (0, 1, polyiou._EXT_X, polyiou._EXT_Y))
+    near = (np.abs(x[:, None] - x) <= ex[:, None] + ex) & (np.abs(y[:, None] - y) <= ey[:, None] + ey)
+    i, j = np.nonzero(np.triu(near & (images[:, None] == images), 1))
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
 class TestNmsStages:
     """The sweep pair listing and the IoU upper bound that greedy_nms builds on."""
 
@@ -379,9 +404,7 @@ class TestNmsStages:
         images = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))), dtype=np.intp)
         table = polyiou._table(rows)
         i, j = polyiou._sweep_pairs(table, images)
-        di, dj = polyiou._aabb_pairs(table, table)
-        upper = (di < dj) & (images[di] == images[dj])
-        assert sorted(zip(i.tolist(), j.tolist())) == sorted(zip(di[upper].tolist(), dj[upper].tolist()))
+        assert sorted(zip(i.tolist(), j.tolist())) == _dense_pairs(table, images)
         assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
 
     def test_sweep_edge_cases(self):
