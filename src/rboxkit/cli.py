@@ -88,7 +88,7 @@ def cmd_evaluate(args) -> int:
     rows = evalkit.sweep_report(dets, [gt_map.get(i, []) for i in image_ids], args.iou_thresholds)
     print(evalkit.format_eval_table(rows))
     if args.output:
-        Path(args.output).write_text("\n".join(evalkit.eval_machine_lines(rows)) + "\n")
+        targets._write_file(args.output, [f"{line}\n".encode() for line in evalkit.eval_machine_lines(rows)])
     return 1 if det_errors or gt_errors else 0
 
 
@@ -100,7 +100,7 @@ def cmd_proposal_recall(args) -> int:
     report = evalkit.proposal_recall(props, [gt_map[i] for i in image_ids], n_values=tuple(args.top_n))
     print(evalkit.format_recall_table(report))
     if args.output:
-        Path(args.output).write_text("\n".join(evalkit.recall_machine_lines(report)) + "\n")
+        targets._write_file(args.output, [f"{line}\n".encode() for line in evalkit.recall_machine_lines(report)])
     return 1 if det_errors or gt_errors else 0
 
 
@@ -248,7 +248,7 @@ def cmd_convert(args) -> int:
             if not isinstance(rec.geometry, formats.Rect):
                 lossy = True
             lines.append(formats.format_icdar13_line(rec))
-    Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""))
+    targets._write_file(args.output, [f"{line}\n".encode() for line in lines])
     if lossy:
         _note("note: conversion via rotated-box fitting is lossy for this format pair")
     return 1 if errors else 0

@@ -50,7 +50,7 @@ class PredictionMaps:
                 raise ValueError(f"{name} grid shape {arr.shape} != level grid {shape}")
         for name in ("location_prob", "orientation"):
             arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN propagates and fails both
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 

@@ -15,8 +15,8 @@ Detection files are one line per box: ``image_id cx cy w h theta score``
 skip blank lines and tolerate a UTF-8 byte-order mark. Detections are
 read into and written from one :class:`~rboxkit.geom.Detections` record.
 The reader parses a whole file at once and sends only the lines that fail
-its array checks through the per-line parser, which reports each one; the
-writer checks every image id before it opens its file.
+its array checks through the per-line parser, which reports each one. The
+writer checks every id and encodes its UTF-8 text before it overwrites its file in place.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .geom import (
     quad_to_rotated_box,
     rotated_box_to_quad,
 )
+from .targets import _write_file
 
 GT_FORMATS = ("icdar13", "icdar15", "msra")
 
@@ -240,7 +241,7 @@ def write_detection_file(path, records: Detections) -> None:
 
     Each distinct image id is checked before the file is opened, so an
     empty id or one with whitespace, which would not read back, leaves no
-    file behind.
+    file behind and an existing one as it was.
     """
     image_ids = records.image_ids.tolist()
     for image_id in dict.fromkeys(image_ids):
@@ -249,9 +250,7 @@ def write_detection_file(path, records: Detections) -> None:
         if any(ch.isspace() for ch in image_id):
             raise ValueError(f"image id {image_id!r} must not contain whitespace")
     rows = zip(image_ids, *records.boxes.T.tolist(), records.scores.tolist())
-    text = "".join(map(_DETECTION_LINE.__mod__, rows))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_file(path, ["".join(map(_DETECTION_LINE.__mod__, rows)).encode()])
 
 
 def read_detection_file(path) -> tuple[Detections, list[ParseError]]:

@@ -60,10 +60,7 @@ def iou_pairs(a, b, images_a=0, images_b=0) -> tuple[np.ndarray, np.ndarray, np.
     a, b = _rows(a), _rows(b)
     table = _table(np.concatenate([a, b]))
     images = np.concatenate([np.broadcast_to(images_a, len(a)), np.broadcast_to(images_b, len(b))])
-    i, j = _sweep_pairs(table, images)
-    # b's rows start at row len(a), and the sweep lists each pair with i < j
-    cross = (i < len(a)) & (j >= len(a))
-    i, j = i[cross], j[cross]
+    i, j = _sweep_pairs(table, images, len(a))
     return i, j - len(a), _exact(table, i, j)
 
 
@@ -181,17 +178,19 @@ def _exact(table: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _sweep_pairs(t: np.ndarray, images=0) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_pairs(t: np.ndarray, images=0, split=None) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs i < j of one table and one image whose bounding boxes meet, in no set order.
 
-    ``images`` is each row's image as an int code (one image when omitted).
-    A pair's bounding boxes meet when, on each axis, the distance between
-    the centres is at most the sum of the half extents.
+    ``images`` is each row's image as an int code (one image when omitted);
+    with ``split``, only pairs i < split <= j. Boxes meet when, on each axis,
+    the distance between the centres is at most the sum of the half extents.
 
     Sort-and-sweep on x: a box's candidates are the boxes after it in
     (image, x-min) order, of its image, whose x-min does not pass its x-max,
     found with ``searchsorted`` on the keys image + x 1j (numpy orders
     complex numbers by real part, then imaginary part, so no x is shifted).
+    With ``split`` the sides are sorted apart; a row takes the other side's rows whose x-min lies in
+    [its x-min, its x-max], or (its x-min, its x-max] for rows from ``split`` on: each pair once.
     Both ends of each x-range are widened by a relative 1e-12, so rounding
     cannot hide a pair that the exact test below accepts. Candidates are
     expanded ``_STEP`` or so at a time (one box's run at the least), which
@@ -199,10 +198,17 @@ def _sweep_pairs(t: np.ndarray, images=0) -> tuple[np.ndarray, np.ndarray]:
     """
     pad = 1e-12 * (np.abs(t[:, 0]) + t[:, _EXT_X])
     lo = images + 1j * (t[:, 0] - t[:, _EXT_X] - pad)
-    order = np.argsort(lo, kind="stable")
+    n = len(t) if split is None else split
+    order = np.concatenate([np.argsort(lo[:n], kind="stable"), n + np.argsort(lo[n:], kind="stable")])
     lo, hi = lo[order], (images + 1j * (t[:, 0] + t[:, _EXT_X] + pad))[order]
-    # sorted position p's candidates are the positions p + 1 .. p + count[p]
-    count = np.searchsorted(lo, hi, side="right") - np.arange(1, len(t) + 1)
+    # sorted position p's candidates are the positions start[p] .. start[p] + count[p] - 1
+    if split is None:
+        start, limit = np.arange(1, n + 1), np.searchsorted(lo, hi, side="right")
+    else:
+        la, lb, ha, hb = lo[:n], lo[n:], hi[:n], hi[n:]
+        start = np.concatenate([n + np.searchsorted(lb, la, side="left"), np.searchsorted(la, lb, side="right")])
+        limit = np.concatenate([n + np.searchsorted(lb, ha, side="right"), np.searchsorted(la, hb, side="right")])
+    count = limit - start
     end = np.cumsum(count)
     first = end - count
     # rows x, y and the two half extents, in sweep order: row-wise ops on
@@ -214,7 +220,7 @@ def _sweep_pairs(t: np.ndarray, images=0) -> tuple[np.ndarray, np.ndarray]:
         stop = max(p + 1, int(np.searchsorted(end, first[p] + _STEP, side="right")))
         c = count[p:stop]
         a = np.repeat(np.arange(p, stop), c)
-        b = np.repeat(np.arange(p + 1, stop + 1) - (first[p:stop] - first[p]), c) + np.arange(len(a))
+        b = np.repeat(start[p:stop] - (first[p:stop] - first[p]), c) + np.arange(len(a))
         sa, sb = s.take(a, axis=1), s.take(b, axis=1)
         near = np.abs(sa[:2] - sb[:2]) <= sa[2:] + sb[2:]
         near = near[0] & near[1]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -370,13 +371,27 @@ def _write_map(path, magic: bytes, level: LevelSpec, grids, dtypes) -> None:
     """Map-file layout shared by ``.tmap`` and ``.pmap``.
 
     Little-endian header (4-byte magic, u32 stride, u32 grid_w, u32 grid_h,
-    f32 k), then each grid row-major in its dtype. A grid already in its
-    dtype is written from its own buffer, a bool grid as its bytes.
+    f32 k), then each grid row-major in its dtype. A grid already in its dtype is
+    written from its own buffer, a bool grid as its bytes; all are built before the file opens.
     """
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(magic, level.stride, level.grid_w, level.grid_h, level.k))
-        for arr, dtype in zip(grids, dtypes):
-            fh.write(np.ascontiguousarray(arr.view(np.uint8) if arr.dtype == bool else arr, dtype=dtype))
+    grids = [np.ascontiguousarray(a.view(np.uint8) if a.dtype == bool else a, dtype=d) for a, d in zip(grids, dtypes)]
+    _write_file(path, [_HEADER.pack(magic, level.stride, level.grid_w, level.grid_h, level.k), *grids])
+
+
+def _write_file(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` in order, overwriting an existing file in place.
+
+    No ``O_TRUNC``: ext4 starts writeback at close of a file truncated to length 0 (``auto_da_alloc``).
+    A longer regular file is trimmed where the bytes written end, even after a failed write: never old after new.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        old = os.fstat(fh.fileno())
+        try:
+            fh.writelines(chunks)
+            fh.flush()
+        finally:
+            if stat.S_ISREG(old.st_mode) and old.st_size > fh.raw.tell():
+                os.ftruncate(fh.fileno(), fh.raw.tell())
 
 
 def _read_file(path) -> np.ndarray:

@@ -697,6 +697,39 @@ class TestLabelgenAndDecode:
         assert message in capsys.readouterr().err
 
 
+class TestOutputsOverwrittenInPlace:
+    def test_evaluate_output_trimmed(self, scene, capsys):
+        tmp, gt_dir, det_file, _ = scene
+        args = ["evaluate", "--detections", str(det_file), "--gt", str(gt_dir), "--gt-format", "icdar15", "--output"]
+        out, fresh = tmp / "metrics.tsv", tmp / "fresh.tsv"
+        out.write_text("an older and much longer metric file\n" * 50)
+        assert main([*args, str(out)]) == 0
+        assert main([*args, str(fresh)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_labelgen_rerun_with_a_smaller_image(self, scene, tmp_path, capsys):
+        _, gt_dir, _, _ = scene
+
+        def labelgen(out_dir, width):
+            args = ["--gt", str(gt_dir), "--gt-format", "icdar15", "--image-width", str(width), "--output", str(out_dir)]
+            assert main(["labelgen", *args]) == 0
+
+        labelgen(tmp_path / "maps", 640)
+        labelgen(tmp_path / "maps", 320)
+        labelgen(tmp_path / "fresh", 320)
+        names = sorted(p.name for p in (tmp_path / "fresh").glob("*.tmap"))
+        assert len(names) == 8
+        assert sorted(p.name for p in (tmp_path / "maps").glob("*.tmap")) == names
+        for name in names:
+            assert (tmp_path / "maps" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["nms", "evaluate"])
+    def test_dev_null_output(self, scene, command, capsys):
+        _, gt_dir, det_file, _ = scene
+        gt = ["--gt", str(gt_dir), "--gt-format", "icdar15"] if command == "evaluate" else []
+        assert main([command, "--detections", str(det_file), *gt, "--output", os.devnull]) == 0
+
+
 class TestNms:
     def test_duplicate_collapsed(self, tmp_path, capsys):
         det_file = tmp_path / "in.txt"

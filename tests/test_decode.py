@@ -496,6 +496,16 @@ class TestPredictionMapsIo:
                 shape_dh=np.zeros(shape, dtype=np.float32),
             )
 
+    @pytest.mark.parametrize("grid", ["location_prob", "orientation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1, 1.1])
+    def test_value_outside_unit_interval_rejected(self, grid, value):
+        fields = vars(blank_maps(level()))
+        fields[grid] = fields[grid].copy()
+        fields[grid][3, 5] = value
+        with pytest.raises(ValueError) as e:
+            PredictionMaps(**fields)
+        assert str(e.value) == f"{grid} must lie in [0, 1]"
+
 
 class TestIdealRoundTrip:
     def test_isolated_box_recovered(self):

@@ -1,4 +1,5 @@
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,35 @@ class TestDetectionWriterMatchesFString:
         with pytest.raises(ValueError, match="image id must not be empty"):
             write_detection_file(p, record_of_pairs([("ok", good), ("", good)]))
         assert not p.exists()
+        p.write_text("kept\n")
+        with pytest.raises(ValueError, match="image id must not be empty"):
+            write_detection_file(p, record_of_pairs([("ok", good), ("", good)]))
+        assert p.read_text() == "kept\n"
+
+
+class TestDetectionFileOverwrittenInPlace:
+    GOOD = Proposal(box=RotatedBox(10, 10, 20, 10, 0.0), score=0.9)
+
+    def test_longer_file_trimmed_keeping_inode_and_mode(self, tmp_path):
+        p, fresh = tmp_path / "dets.txt", tmp_path / "fresh.txt"
+        write_detection_file(p, record_of_pairs([(f"img_{k}", self.GOOD) for k in range(20)]))
+        os.chmod(p, 0o640)
+        before = os.stat(p)
+        write_detection_file(p, record_of_pairs([("b", self.GOOD)]))
+        write_detection_file(fresh, record_of_pairs([("b", self.GOOD)]))
+        after = os.stat(p)
+        assert p.read_bytes() == fresh.read_bytes() == b"b 10.000000 10.000000 20.000000 10.000000 0.000000 0.900000\n"
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        write_detection_file(p, record([]))
+        assert p.read_bytes() == b""
+
+    def test_symlink_written_through(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("an older and much longer detection file\n" * 4)
+        link.symlink_to(target)
+        write_detection_file(link, record_of_pairs([("b", self.GOOD)]))
+        assert link.is_symlink()
+        assert target.read_bytes() == b"b 10.000000 10.000000 20.000000 10.000000 0.000000 0.900000\n"
 
 
 class TestToGroundTruth:

@@ -407,6 +407,16 @@ class TestNmsStages:
         assert sorted(zip(i.tolist(), j.tolist())) == _dense_pairs(table, images)
         assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
 
+    @given(_crowd(), st.data())
+    def test_split_sweep_lists_the_dense_cross_pairs(self, rows, data):
+        # rows before the split against rows from it on, each pair once
+        images = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))), dtype=np.intp)
+        split = data.draw(st.integers(0, len(rows)))
+        table = polyiou._table(rows)
+        i, j = polyiou._sweep_pairs(table, images, split)
+        cross = [(a, b) for a, b in _dense_pairs(table, images) if a < split <= b]
+        assert sorted(zip(i.tolist(), j.tolist())) == cross
+
     def test_sweep_edge_cases(self):
         empty = polyiou._table(np.zeros((0, 5)))
         assert [len(v) for v in polyiou._sweep_pairs(empty)] == [0, 0]

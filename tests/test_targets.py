@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -24,6 +25,8 @@ from rboxkit.targets import (
     _candidate_table,
     _read_file,
     _read_map,
+    _write_file,
+    _write_map,
     assign_level,
     cell_center,
     enumerate_candidates,
@@ -497,6 +500,38 @@ class TestSerialization:
         p.write_bytes(p.read_bytes()[:-10])
         with pytest.raises(ValueError):
             load_target_maps(p)
+
+
+class TestWriteFile:
+    def test_rewritten_map_trimmed_keeping_inode_and_mode(self, tmp_path):
+        gts = [RotatedBox(40, 40, 30, 18, 0.3)]
+        p, fresh = tmp_path / "t.tmap", tmp_path / "fresh.tmap"
+        save_target_maps(generate_targets(gts, make_levels(512, 384))[0], p)
+        os.chmod(p, 0o600)
+        before = os.stat(p)
+        small = generate_targets(gts, make_levels(96, 64))[0]
+        save_target_maps(small, p)
+        save_target_maps(small, fresh)
+        after = os.stat(p)
+        assert p.read_bytes() == fresh.read_bytes()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert np.array_equal(load_target_maps(p).location, small.location)
+
+    def test_failed_write_leaves_only_the_new_bytes(self, tmp_path):
+        p = tmp_path / "out"
+        p.write_bytes(b"older and longer contents")
+        with pytest.raises(TypeError):
+            _write_file(p, [b"new", object()])
+        assert p.read_bytes() == b"new"
+
+    def test_grid_that_fails_leaves_the_file_untouched(self, tmp_path):
+        p = tmp_path / "t.tmap"
+        p.write_bytes(b"kept")
+        lv = make_levels(32, 32)[0]
+        grids = [np.zeros((lv.grid_h, lv.grid_w), np.uint8), np.full((lv.grid_h, lv.grid_w), "x")]
+        with pytest.raises(ValueError):
+            _write_map(p, TARGET_MAGIC, lv, grids, (np.uint8, "<f4"))
+        assert p.read_bytes() == b"kept"
 
 
 def stride32_maps():
