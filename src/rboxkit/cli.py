@@ -384,6 +384,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         _err(str(e))
         return 2
+    except MemoryError as e:
+        _err(f"out of memory: {e}")
+        return 2
 
 
 if __name__ == "__main__":

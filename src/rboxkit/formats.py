@@ -10,6 +10,9 @@ Three annotation line formats are supported:
 * horizontal style (ICDAR2013): ``xmin, ymin, xmax, ymax[, transcription]``
   with comma or whitespace separators.
 
+A difficult or don't-care record is written as difficulty 1 in the MSRA
+style and as transcription "###" in the ICDAR styles.
+
 Detection files are one line per box: ``image_id cx cy w h theta score``
 (space separated, six decimals). All readers accept LF or CRLF endings,
 skip blank lines and tolerate a UTF-8 byte-order mark. Detections are
@@ -185,7 +188,7 @@ def format_icdar15_line(rec: AnnotationRecord) -> str:
     else:
         quad = rotated_box_to_quad(rec.to_rotated_box())
     coords = ",".join(f"{v:.2f}" for p in quad.vertices for v in (p.x, p.y))
-    text = DONT_CARE_SENTINEL if rec.dont_care else (rec.transcription or "")
+    text = DONT_CARE_SENTINEL if (rec.dont_care or rec.difficult) else (rec.transcription or "")
     return f"{coords},{text}" if text else coords
 
 
@@ -204,7 +207,7 @@ def format_icdar13_line(rec: AnnotationRecord) -> str:
         pts = box_corners(rec.to_rotated_box())
         r = Rect(pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max())
     base = f"{r.xmin:.2f}, {r.ymin:.2f}, {r.xmax:.2f}, {r.ymax:.2f}"
-    text = DONT_CARE_SENTINEL if rec.dont_care else (rec.transcription or "")
+    text = DONT_CARE_SENTINEL if (rec.dont_care or rec.difficult) else (rec.transcription or "")
     return f"{base}, {text}" if text else base
 
 

@@ -10,9 +10,9 @@ pieces of the intersection's boundary (Green's theorem) with no vertex list,
 sort or tolerance. :func:`iou_matrix` is its one-image case, scattered into
 a dense matrix, and scalar :func:`iou` its 1x1 case. :func:`greedy_nms` runs
 greedy suppression over the same sweep and exact stage: it drops the pairs
-whose IoU an upper bound from the two boxes' parameters puts more than
-``_MARGIN`` below the threshold, and computes exactly only the other pairs
-that greedy reads. :func:`iou_oracle` estimates one pair's IoU by
+whose smaller area over the larger, an upper bound on their IoU, lies more
+than ``_MARGIN`` below the threshold, and computes exactly only the other
+pairs that greedy reads. :func:`iou_oracle` estimates one pair's IoU by
 Monte-Carlo sampling, the independent check that ``rboxkit iou`` prints
 next to the exact value.
 """
@@ -27,8 +27,7 @@ from .geom import _CORNER_U, _CORNER_V, RotatedBox, box_corners
 
 # candidate pairs per step of the exact stage; bounds its temporaries
 _BLOCK = 1024
-# candidate pairs per step of _sweep_pairs and of the IoU upper bound; bounds
-# their one-dimensional temporaries
+# candidate pairs per step of _sweep_pairs; bounds its one-dimensional temporaries
 _STEP = 4 * _BLOCK
 # largest |cx|, |cy|, w or h the exact stage takes: the other box's corners
 # in the first box's frame then stay within 4e150, so the products of two
@@ -80,11 +79,12 @@ def greedy_nms(boxes, iou_threshold: float, images=0) -> np.ndarray:
     kept row of its image before it has IoU strictly above ``iou_threshold``
     with it. The pairs of one image whose bounding boxes meet come from a
     sort-and-sweep on x (:func:`_sweep_pairs`), so all images share each
-    round. Each pair's IoU is then bounded from above from the two boxes'
-    parameters alone (:func:`_iou_upper`); a pair whose bound lies more than
-    ``_MARGIN`` below the threshold can never suppress and is dropped. The
-    pass runs in rounds over the other pairs. Each round keeps every
-    undecided row whose earlier partners are all decided (the first
+    round. Each pair's IoU is then bounded from above by the smaller area
+    over the larger (:func:`_iou_upper`), since the intersection is at most
+    the smaller box and the union at least the larger; a pair whose bound
+    lies more than ``_MARGIN`` below the threshold can never suppress and is
+    dropped. The pass runs in rounds over the other pairs. Each round keeps
+    every undecided row whose earlier partners are all decided (the first
     undecided row always is, and no two rows kept in one round are
     partners), computes the exact IoU of every pair (newly kept row,
     undecided later partner), and suppresses the partners above the
@@ -119,8 +119,7 @@ def iou(a: RotatedBox, b: RotatedBox) -> float:
 
 
 # columns of the per-box table built by _table, after the five box parameters:
-# cos and sin of theta and the area (the columns the IoU upper bound reads,
-# up to _AREA) and the bounding-box half extents (x, y)
+# cos and sin of theta, the area and the bounding-box half extents (x, y)
 _COS, _SIN, _AREA, _EXT_X, _EXT_Y = 5, 6, 7, 8, 9
 # edge k runs from corner k to corner k + 1
 _NEXT4 = np.array([1, 2, 3, 0])
@@ -232,37 +231,10 @@ def _sweep_pairs(t: np.ndarray, images=0, split=None) -> tuple[np.ndarray, np.nd
 
 
 def _iou_upper(t: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Upper bound on the IoU of each table row pair (F, G) = (i[k], j[k]), ``_STEP`` pairs at a time.
-
-    The intersection lies inside F and inside the rectangle that G projects
-    onto F's two axes, so its area is at most their overlap; the same holds
-    with F and G swapped, and the smaller overlap counts.
-    """
-    # gathering the few columns needed, transposed, keeps both the gathers and
-    # the arithmetic on contiguous rows, several times faster than on (n, 10) rows
-    cols = np.ascontiguousarray(t[:, : _AREA + 1].T)
-    out = np.empty(len(i))
-    for k in range(0, len(i), _STEP):
-        f, g = cols.take(i[k : k + _STEP], axis=1), cols.take(j[k : k + _STEP], axis=1)
-        dx, dy = g[0] - f[0], g[1] - f[1]
-        cf, sf, cg, sg = f[_COS], f[_SIN], g[_COS], g[_SIN]
-        # |cos| and |sin| of the angle between the boxes, and the distances
-        # between the centres along F's axes and along G's
-        c, s = np.abs(cf * cg + sf * sg), np.abs(cf * sg - sf * cg)
-        fu, fv = np.abs(dx * cf + dy * sf), np.abs(dy * cf - dx * sf)
-        gu, gv = np.abs(dx * cg + dy * sg), np.abs(dy * cg - dx * sg)
-        fw, fh, gw, gh = f[2] / 2.0, f[3] / 2.0, g[2] / 2.0, g[3] / 2.0
-        inter = np.minimum(
-            _overlap(fw, fu, gw * c + gh * s) * _overlap(fh, fv, gw * s + gh * c),
-            _overlap(gw, gu, fw * c + fh * s) * _overlap(gh, gv, fw * s + fh * c),
-        )
-        out[k : k + _STEP] = inter / (f[_AREA] + g[_AREA] - inter)
-    return out
-
-
-def _overlap(h1, d, h2):
-    """Length shared by [-h1, h1] and [d - h2, d + h2], for d >= 0."""
-    return np.maximum(np.minimum(2.0 * np.minimum(h1, h2), h1 + h2 - d), 0.0)
+    """Upper bound min(|F|, |G|) / max(|F|, |G|) on the IoU of each table row pair (F, G) = (i[k], j[k])."""
+    area = t[:, _AREA]
+    a, b = area.take(i), area.take(j)
+    return np.minimum(a, b) / np.maximum(a, b)
 
 
 def _pair_iou(f, g) -> np.ndarray:

@@ -43,15 +43,15 @@ class LevelSpec:
     long_ratios_enabled: bool = False
 
     def __post_init__(self):
-        # the map-file header stores stride as u32 and k as f32
+        # the map-file header stores stride, grid_w and grid_h as u32 and k as f32
         if not 1 <= self.stride <= 2**32 - 1:
             raise ValueError(f"stride must lie in [1, 2**32 - 1], got {self.stride}")
         with np.errstate(over="ignore"):
             k32 = np.float32(self.k)
         if not (np.isfinite(k32) and k32 > 0):
             raise ValueError(f"scale factor k must be positive and finite as a float32, got {self.k}")
-        if self.grid_w < 1 or self.grid_h < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.grid_w}x{self.grid_h}")
+        if not (1 <= self.grid_w <= 2**32 - 1 and 1 <= self.grid_h <= 2**32 - 1):
+            raise ValueError(f"grid sides must lie in [1, 2**32 - 1], got {self.grid_w}x{self.grid_h}")
 
     @property
     def base_size(self) -> float:

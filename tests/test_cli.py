@@ -420,11 +420,13 @@ class TestLabelgenAndDecode:
             (["--k", "1e-300"], "error: scale factor k"),
             (["--k", "inf"], "error: scale factor k"),
             (["--strides", "4", "5000000000"], "error: stride must lie in"),
+            # 25e9 cells a row at stride 4, refused before any grid is allocated
+            (["--image-width", "99999999999"], "error: grid sides must lie in [1, 2**32 - 1], got 25000000000x"),
         ],
-        ids=["k-1e300", "k-1e-300", "k-inf", "stride-5e9"],
+        ids=["k-1e300", "k-1e-300", "k-inf", "stride-5e9", "grid-width-25e9"],
     )
     def test_labelgen_level_outside_map_header_rejected(self, scene, tmp_path, capsys, flags, message):
-        # the .tmap header holds k as f32 and the stride as u32
+        # the .tmap header holds k as f32 and the stride and grid sides as u32
         _, gt_dir, _, _ = scene
         out_dir = tmp_path / "maps"
         rc = main(
@@ -433,6 +435,35 @@ class TestLabelgenAndDecode:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_labelgen_out_of_memory_reported(self, scene, tmp_path, capsys, monkeypatch):
+        def refuse(level):
+            raise MemoryError("Unable to allocate 9.31 GiB for an array")
+
+        monkeypatch.setattr(rboxkit.targets.TargetMaps, "empty", refuse)
+        _, gt_dir, _, _ = scene
+        argv = ["labelgen", "--gt", str(gt_dir), "--gt-format", "icdar15", "--output", str(tmp_path / "maps")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: out of memory: Unable to allocate 9.31 GiB for an array"]
+
+    @pytest.mark.parametrize(
+        "boxes, message",
+        [
+            ([RotatedBox(100, 80, 40, 16, 0.3), RotatedBox(200, 80, 10, 0.5, 0.0)], "ground truth #1 smaller than 1px"),
+            ([RotatedBox(128, 128, 40, 30, 1.5), RotatedBox(128, 128, 40, 30, -1.5)], "straddling the +-pi/2 wrap"),
+        ],
+        ids=["under-1px", "wrap-straddling"],
+    )
+    def test_labelgen_reports_target_warnings(self, tmp_path, capsys, boxes, message):
+        # generate_targets' warnings reach stderr with the image id; the maps are still written
+        write_gt_icdar15(tmp_path / "gt_a.txt", boxes)
+        out_dir = tmp_path / "maps"
+        argv = ["labelgen", "--gt", str(tmp_path / "gt_a.txt"), "--gt-format", "icdar15", "--output", str(out_dir)]
+        assert main([*argv, "--image-width", "512", "--image-height", "384"]) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: a: ") and message in line
+        assert sorted(p.name for p in out_dir.glob("*.tmap")) == [f"a.s{s}.tmap" for s in (16, 32, 4, 8)]
 
     @pytest.mark.parametrize(
         "flags",
@@ -964,6 +995,73 @@ class TestConvert:
         assert rc == 0
         fields = dst.read_text().split()
         assert float(fields[6]) == pytest.approx(0.0)
+
+    # a non-rectangular quad, a rotated box and a rectangle, each followed by a
+    # don't-care or difficult line, which every format marks
+    SOURCES = {
+        "icdar15": "10,10,90,14,88,34,12,30,word\n0,0,20,0,20,10,0,10,###\n",
+        "msra": "0 0 10 20 100 40 0.5\n1 1 10 20 100 40 0.5\n",
+        "icdar13": "10, 20, 110, 60, hi\n0 0 5 5 ###\n",
+    }
+
+    @pytest.mark.parametrize(
+        "src_fmt, dst_fmt, expected, lossy",
+        [
+            (
+                "icdar15",
+                "msra",
+                [
+                    "0 0 9.950031 11.950124 80.099938 20.099751 0.051237",
+                    "1 1 0.000000 0.000000 20.000000 10.000000 0.000000",
+                ],
+                True,
+            ),
+            ("icdar15", "icdar13", ["9.49, 9.91, 90.51, 34.09, word", "0.00, 0.00, 20.00, 10.00, ###"], True),
+            (
+                "msra",
+                "icdar15",
+                [
+                    "25.71,-1.52,113.47,46.42,94.29,81.52,6.53,33.58",
+                    "25.71,-1.52,113.47,46.42,94.29,81.52,6.53,33.58,###",
+                ],
+                False,
+            ),
+            ("msra", "icdar13", ["6.53, -1.52, 113.47, 81.52", "6.53, -1.52, 113.47, 81.52, ###"], True),
+            (
+                "icdar13",
+                "icdar15",
+                [
+                    "10.00,20.00,110.00,20.00,110.00,60.00,10.00,60.00,hi",
+                    "0.00,0.00,5.00,0.00,5.00,5.00,0.00,5.00,###",
+                ],
+                False,
+            ),
+            (
+                "icdar13",
+                "msra",
+                [
+                    "0 0 10.000000 20.000000 100.000000 40.000000 0.000000",
+                    "1 1 0.000000 0.000000 5.000000 5.000000 0.000000",
+                ],
+                False,
+            ),
+        ],
+    )
+    def test_cross_format_lines(self, tmp_path, src_fmt, dst_fmt, expected, lossy):
+        # the note goes with a non-rectangular quad into msra and a rotated shape into icdar13 only
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(self.SOURCES[src_fmt])
+        code, out, err = run_main(["convert", "--input", src, "--from", src_fmt, "--to", dst_fmt, "--output", dst])
+        assert (code, out) == (0, "")
+        assert dst.read_text().splitlines() == expected
+        assert err == ("note: conversion via rotated-box fitting is lossy for this format pair\n" if lossy else "")
+
+    def test_dont_care_survives_msra_and_back(self, tmp_path):
+        src, mid, back = tmp_path / "in.txt", tmp_path / "mid.txt", tmp_path / "back.txt"
+        src.write_text(self.SOURCES["icdar15"])
+        assert run_main(["convert", "--input", src, "--from", "icdar15", "--to", "msra", "--output", mid])[0] == 0
+        assert run_main(["convert", "--input", mid, "--from", "msra", "--to", "icdar15", "--output", back])[0] == 0
+        assert [line.endswith(",###") for line in back.read_text().splitlines()] == [False, True]
 
     def test_missing_input(self, tmp_path, capsys):
         rc = main(

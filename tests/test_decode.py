@@ -380,11 +380,11 @@ class TestPolygonNms:
             for thr in (0.1, 0.3, 0.7):
                 assert list(polygon_nms(record(props), thr)) == loop_nms(props, thr)
 
-    def test_axis_aligned_chain_needs_no_exact_iou(self, monkeypatch):
+    def test_axis_aligned_chain_needs_one_exact_call_a_round(self, monkeypatch):
         # each box overlaps the next at IoU 7/13 and the one after at 4/16:
-        # a drops b, so c survives and drops d, so e survives. Aligned boxes
-        # make the IoU upper bound exact, so it drops the pairs at 4/16 with
-        # no exact IoU; the exact IoU runs once a round, from a and from c.
+        # a drops b, so c survives and drops d, so e survives. Boxes of one
+        # size have an area bound of 1, so every pair whose bounding boxes
+        # meet reaches the exact IoU; it runs once a round, from a and from c.
         a, b, c, d, e = (prop(3.0 * k, 0, 10, 5, 0.0, 0.9 - 0.1 * k) for k in range(5))
         props = [e, d, c, b, a]
         assert loop_nms(props, 0.3) == [a, c, e]
@@ -392,7 +392,7 @@ class TestPolygonNms:
         exact = polyiou._exact
         monkeypatch.setattr(polyiou, "_exact", lambda *args: calls.append(args[1]) or exact(*args))
         assert list(polygon_nms(record(props), 0.3)) == [a, c, e]
-        assert [rows.tolist() for rows in calls] == [[0], [2]]
+        assert [rows.tolist() for rows in calls] == [[0, 0, 0], [2, 2]]
 
     def test_chain_needs_several_rounds(self, monkeypatch):
         # each box turns 28 degrees from the last: it overlaps the next at IoU
