@@ -17,7 +17,7 @@ import numpy as np
 
 from . import decode as dec
 from . import evalkit, formats, polyiou, targets
-from .geom import Detections, RotatedBox, _corners, _image_codes
+from .geom import Detections, RotatedBox, _corners, _image_codes, box_corners
 
 DEFAULT_STRIDES = (4, 8, 16, 32)
 DEFAULT_LONG_RATIO_STRIDES = (4, 8)
@@ -95,6 +95,8 @@ def cmd_evaluate(args) -> int:
 def cmd_proposal_recall(args) -> int:
     det_groups, det_errors = _read_detections(Path(args.proposals))
     gt_map, gt_errors = _load_gt_map(Path(args.gt), args.gt_format, args.include_difficult)
+    for image_id in sorted(set(det_groups) - set(gt_map)):
+        _note(f"note: no ground-truth file for image {image_id!r}; its proposals are not scored")
     none, image_ids = Detections((), (), ()), sorted(gt_map)
     props = [det_groups.get(i, none) for i in image_ids]
     report = evalkit.proposal_recall(props, [gt_map[i] for i in image_ids], n_values=tuple(args.top_n))
@@ -232,24 +234,31 @@ def cmd_iou(args) -> int:
     return 0
 
 
+def _fit_is_lossy(rec: formats.AnnotationRecord, to_format: str) -> bool:
+    """Whether the shape msra or icdar13 writes for ``rec`` moves a corner by more than the format prints."""
+    src = fit = box_corners(rec.to_rotated_box())
+    if isinstance(rec.geometry, formats.Quad):
+        src = np.array([(p.x, p.y) for p in rec.geometry.vertices])
+    if to_format == "icdar13":
+        r = formats._icdar13_rect(rec)
+        fit = np.array([(r.xmin, r.ymin), (r.xmax, r.ymin), (r.xmax, r.ymax), (r.xmin, r.ymax)])
+    # each corner against the nearest corner of the other shape, by its larger coordinate gap
+    gap = np.abs(src[:, None] - fit[None]).max(2)
+    return max(gap.min(0).max(), gap.min(1).max()) > (0.5e-6 if to_format == "msra" else 0.005)
+
+
 def cmd_convert(args) -> int:
     records, errors = formats.read_annotation_file(Path(args.input), args.from_format)
     _report_parse_errors(args.input, errors)
-    lossy = False
-    lines = []
-    for k, rec in enumerate(records):
-        if args.to_format == "icdar15":
-            lines.append(formats.format_icdar15_line(rec))
-        elif args.to_format == "msra":
-            if isinstance(rec.geometry, formats.Quad):
-                lossy = True
-            lines.append(formats.format_msra_line(rec, index=k))
-        else:
-            if not isinstance(rec.geometry, formats.Rect):
-                lossy = True
-            lines.append(formats.format_icdar13_line(rec))
+    if args.to_format == "icdar15":
+        lines = [formats.format_icdar15_line(rec) for rec in records]
+    elif args.to_format == "msra":
+        lines = [formats.format_msra_line(rec, index=k) for k, rec in enumerate(records)]
+    else:
+        lines = [formats.format_icdar13_line(rec) for rec in records]
     targets._write_file(args.output, [f"{line}\n".encode() for line in lines])
-    if lossy:
+    # icdar15 writes any shape's corners as they are
+    if args.to_format != "icdar15" and any(_fit_is_lossy(rec, args.to_format) for rec in records):
         _note("note: conversion via rotated-box fitting is lossy for this format pair")
     return 1 if errors else 0
 

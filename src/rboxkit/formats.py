@@ -200,12 +200,16 @@ def format_msra_line(rec: AnnotationRecord, index: int = 0) -> str:
     return f"{index} {difficulty} {x:.6f} {y:.6f} {b.w:.6f} {b.h:.6f} {b.theta:.6f}"
 
 
-def format_icdar13_line(rec: AnnotationRecord) -> str:
+def _icdar13_rect(rec: AnnotationRecord) -> Rect:
+    """The rectangle the horizontal style writes: a Rect as it is, any other shape's rotated-box bounds."""
     if isinstance(rec.geometry, Rect):
-        r = rec.geometry
-    else:
-        pts = box_corners(rec.to_rotated_box())
-        r = Rect(pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max())
+        return rec.geometry
+    pts = box_corners(rec.to_rotated_box())
+    return Rect(pts[:, 0].min(), pts[:, 1].min(), pts[:, 0].max(), pts[:, 1].max())
+
+
+def format_icdar13_line(rec: AnnotationRecord) -> str:
+    r = _icdar13_rect(rec)
     base = f"{r.xmin:.2f}, {r.ymin:.2f}, {r.xmax:.2f}, {r.ymax:.2f}"
     text = DONT_CARE_SENTINEL if (rec.dont_care or rec.difficult) else (rec.transcription or "")
     return f"{base}, {text}" if text else base

@@ -236,19 +236,6 @@ def make_levels(
     ]
 
 
-def _window(level: LevelSpec, gt: RotatedBox):
-    """Origin (i0, j0) and size (ni, nj) of the cell window around the box, or None off the grid."""
-    reach = math.hypot(gt.w, gt.h) / 2.0
-    s = level.stride
-    i0 = max(0, int((gt.cx - reach) / s - 1))
-    i1 = min(level.grid_w - 1, int((gt.cx + reach) / s + 1))
-    j0 = max(0, int((gt.cy - reach) / s - 1))
-    j1 = min(level.grid_h - 1, int((gt.cy + reach) / s + 1))
-    if i0 > i1 or j0 > j1:
-        return None
-    return i0, j0, i1 - i0 + 1, j1 - j0 + 1
-
-
 def _aligned_iou(u, v, w, h, wg, hg):
     """IoU of an anchor (w, h) at offset (u, v) against a co-oriented box (wg, hg).
 
@@ -264,14 +251,22 @@ def _aligned_iou(u, v, w, h, wg, hg):
 def _level_cells(level: LevelSpec, rows: np.ndarray, shrink: ShrinkParams, cand: np.ndarray):
     """The cells that all of a level's boxes cover, in box order and row-major per window.
 
-    ``rows`` has one row per box: its :func:`_window`, then cx, cy, cos,
-    sin, w, h and the unit angle. Returns the flat indices
+    ``rows`` has one (cx, cy, w, h, theta) row per box. A box's window is its
+    centre +- half its diagonal, widened by one cell and clipped to the grid;
+    a window that misses the grid is empty. Returns the flat indices
     (j * grid_w + i) of the cells inside each full box with the box's unit
     angle, and of the cells inside its shrink core with the best candidate
     IoU and that candidate's index.
     """
-    i0, j0, ni, nj = rows[:, :4].astype(np.int64).T
-    cx, cy, c, sn, w, h, unit = rows[:, 4:].T
+    cx, cy, w, h, theta = rows.T
+    c, sn, unit = (np.fromiter(map(f, theta.tolist()), np.float64) for f in (math.cos, math.sin, angle_to_unit))
+    reach = np.hypot(w, h) / 2.0
+    # clipped to the grid before the cast, which truncates toward zero as int() does
+    i0 = np.clip((cx - reach) / level.stride - 1, 0, level.grid_w).astype(np.int64)
+    i1 = np.clip((cx + reach) / level.stride + 1, -1, level.grid_w - 1).astype(np.int64)
+    j0 = np.clip((cy - reach) / level.stride - 1, 0, level.grid_h).astype(np.int64)
+    j1 = np.clip((cy + reach) / level.stride + 1, -1, level.grid_h - 1).astype(np.int64)
+    ni, nj = np.maximum(i1 - i0 + 1, 0), np.maximum(j1 - j0 + 1, 0)
     size = ni * nj
     box = np.repeat(np.arange(len(rows)), size)
     # each cell's position within its box's window, row-major
@@ -316,26 +311,21 @@ def generate_targets(
     linear average is not the circular one). Shape targets store the encoded
     candidate (w, h) with the highest same-angle IoU against the owning box
     (the first such candidate on ties). When two boxes claim a positive cell
-    the higher IoU wins, earlier input order on ties. Each level is built in
-    one pass: the windows of all its boxes are expanded into cells at once,
-    and all its positive cells are scored against its candidates in one
-    broadcast. Only the cells the boxes cover are visited. Boxes with a side
-    under one pixel are skipped with a warning.
+    the higher IoU wins, earlier input order on ties. Only the level is
+    picked per box: each level's windows, frames and unit angles come from
+    its boxes' (cx, cy, w, h, theta) rows at once, only covered cells are
+    visited, and positive cells are scored against all candidates in one
+    broadcast. Boxes with a side under one pixel are skipped with a warning.
     """
     out = [TargetMaps.empty(lv) for lv in levels]
     tables = [_candidate_table(lv, candidates) for lv in levels]
-    # per level, one row per box in input order (see _level_cells)
+    # per level, one (cx, cy, w, h, theta) row per box in input order
     rows = [[] for _ in levels]
     for n, gt in enumerate(gts):
         if gt.w < 1.0 or gt.h < 1.0:
             warnings.warn(f"ground truth #{n} smaller than 1px ({gt.w:.3f}x{gt.h:.3f}), skipped")
             continue
-        lv_idx = levels.index(assign_level(gt, levels))
-        window = _window(levels[lv_idx], gt)
-        if window is None:
-            continue
-        c, sn = math.cos(gt.theta), math.sin(gt.theta)
-        rows[lv_idx].append((*window, gt.cx, gt.cy, c, sn, gt.w, gt.h, angle_to_unit(gt.theta)))
+        rows[levels.index(assign_level(gt, levels))].append((gt.cx, gt.cy, gt.w, gt.h, gt.theta))
 
     wrap_cells = 0
     for t, lv, level_rows, (cand, enc) in zip(out, levels, rows, tables):

@@ -287,6 +287,23 @@ class TestProposalRecall:
         assert "100.0" not in out
         assert out.count("0.0") >= 9
 
+    def test_images_without_gt_file_noted_in_sorted_order(self, tmp_path):
+        # ground truth for image a only; proposals for c and b, whose images have no file
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        (gt / "gt_a.txt").write_text("10,10,90,10,90,30,10,30,word\n")
+        props = tmp_path / "props.txt"
+        props.write_text("c 50 20 80 20 0 0.9\nb 50 20 80 20 0 0.9\nb 50 20 80 20 0 0.8\n")
+        code, out, err = run_main(
+            ["proposal-recall", "--proposals", props, "--gt", gt, "--gt-format", "icdar15", "--top-n", "1"]
+        )
+        assert code == 0
+        assert err == (
+            "note: no ground-truth file for image 'b'; its proposals are not scored\n"
+            "note: no ground-truth file for image 'c'; its proposals are not scored\n"
+        )
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["0.0"] * 3
+
 
 def loop_in_bounds(box, width, height):
     """Reference: one box's corners from box_corners against the image rectangle."""
@@ -1048,12 +1065,29 @@ class TestConvert:
         ],
     )
     def test_cross_format_lines(self, tmp_path, src_fmt, dst_fmt, expected, lossy):
-        # the note goes with a non-rectangular quad into msra and a rotated shape into icdar13 only
+        # each source holds one record whose fitted msra box or icdar13 rectangle moves a corner
         src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
         src.write_text(self.SOURCES[src_fmt])
         code, out, err = run_main(["convert", "--input", src, "--from", src_fmt, "--to", dst_fmt, "--output", dst])
         assert (code, out) == (0, "")
         assert dst.read_text().splitlines() == expected
+        assert err == ("note: conversion via rotated-box fitting is lossy for this format pair\n" if lossy else "")
+
+    @pytest.mark.parametrize(
+        "line, src_fmt, dst_fmt, lossy",
+        [
+            ("0,0,20,0,20,10,0,10,word", "icdar15", "msra", False),  # an axis-aligned rectangle
+            ("0 0 10 20 100 40 0", "msra", "icdar13", False),  # an unturned box
+            ("10,10,90,14,88,34,12,30,word", "icdar15", "msra", True),  # a skewed quad
+            ("0 0 10 20 100 40 0.5", "msra", "icdar13", True),  # a box turned by 0.5 rad
+        ],
+    )
+    def test_note_only_when_a_corner_moves(self, tmp_path, line, src_fmt, dst_fmt, lossy):
+        # the note goes with a written shape whose corners differ from the source's by more than it prints
+        src, dst = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text(line + "\n")
+        code, out, err = run_main(["convert", "--input", src, "--from", src_fmt, "--to", dst_fmt, "--output", dst])
+        assert (code, out) == (0, "")
         assert err == ("note: conversion via rotated-box fitting is lossy for this format pair\n" if lossy else "")
 
     def test_dont_care_survives_msra_and_back(self, tmp_path):

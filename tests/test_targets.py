@@ -397,6 +397,14 @@ class TestGenerateTargets:
             RotatedBox(66, 64, 85, 60, -1.5),
         ]
     )
+    @example(
+        [
+            RotatedBox(1e300, 64, 20, 10, 0.3),  # window far past the right edge: no int64 holds it
+            RotatedBox(-1e300, -1e300, 20, 10, -0.7),  # window far before the top-left corner
+            RotatedBox(64, 64, 22, 18, 0.2),
+        ]
+    )
+    @example([RotatedBox(64, 64, 200, 150, 0.3)])  # stride 32: the window spans the whole 4x4 grid
     def test_matches_per_cell_loop(self, gts):
         levels = make_levels(128, 128)
         with warnings.catch_warnings(record=True) as caught:
